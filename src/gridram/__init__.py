@@ -12,7 +12,6 @@ from .bounds import (
     BoundReport,
     IntersectionSpec,
     SetFamily,
-    binomial,
     bound_table,
     check_L_intersecting,
     diag_inequality_check,

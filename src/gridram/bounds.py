@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .coloring import cached_chromatic_at_most
-from .constructions import theorem_params
+from .constructions import check_bound_digits, theorem_params
 from .core import AgreementGraph, RowPartition, VerticalColoring
 from .errors import (
     FisherHypothesisError,
@@ -27,7 +27,6 @@ __all__ = [
     "BoundReport",
     "LCheckResult",
     "FisherVerdict",
-    "binomial",
     "frankl_wilson_bound",
     "intersection_profile",
     "check_L_intersecting",
@@ -95,11 +94,6 @@ class BoundReport:
     values: dict[str, int]
     flags: dict[str, bool] = field(default_factory=dict)
     satisfied: bool | None = None
-
-
-def binomial(n: int, k: int) -> int:
-    """Exact C(n, k); zero when k exceeds n."""
-    return math.comb(n, k)
 
 
 def frankl_wilson_bound(n: int, ell: int) -> int:
@@ -223,6 +217,7 @@ def diag_inequality_check(r: int) -> BoundReport:
     """
     if r < 2:
         raise ValueError("stated for r >= 2")
+    check_bound_digits(r)
     quarter = r // 4
     m = r ** (r - 1) * (r**r - quarter)
     lhs_m = sum(math.comb(m, i) for i in range(quarter + 1)) + r - 1

@@ -4,7 +4,7 @@ Exit codes: 0 on success, 1 on invalid input (bad flags, parse failures,
 failed verification, inapplicable preconditions), 2 when a computation falls
 outside the exact-search envelope.  Certificate paths accept '-' for
 stdin/stdout, so subcommands compose in pipelines.  Output is byte-identical
-across runs and worker counts; timings are never printed.
+across runs; timings are never printed.
 """
 
 from __future__ import annotations
@@ -103,8 +103,9 @@ def _write_switch_log(records: list[SwitchRecord], path: str) -> None:
 
 def _cmd_bounds(args) -> int:
     if args.r_max is not None:
+        reports = bound_table(args.r_max)
         print("r\tshelah\tgyarfas\tthm1_m\tthm1_n\tthm2_m\tthm2_n\tdiag_ineq_ok")
-        for report in bound_table(args.r_max):
+        for report in reports:
             v = report.values
             print(
                 f"{report.parameters['r']}\t{v['shelah']}\t{v['gyarfas']}\t"

@@ -11,7 +11,7 @@ column pair as an independently checkable witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, log10
 
 from .core import (
     AgreementGraph,
@@ -26,6 +26,7 @@ from .errors import (
     InternalContradictionError,
     NotColorableError,
     PreconditionUnmetError,
+    TooLargeError,
 )
 from .transforms import StabiliseStep, SwitchRecord, stabilise_step
 
@@ -36,8 +37,13 @@ __all__ = [
     "shelah_find_rectangle",
     "shelah_refute",
     "theorem_params",
+    "check_bound_digits",
     "BOUND_NAMES",
+    "MAX_BOUND_DIGITS",
 ]
+
+# Python's default limit on int-to-str conversion; larger bounds cannot be printed.
+MAX_BOUND_DIGITS = 4300
 
 
 @dataclass(frozen=True)
@@ -96,11 +102,9 @@ def shelah_find_rectangle(full: FullGridColoring) -> Rectangle:
             f"need n >= r^C(m,2) + 1 = {r ** comb(m, 2) + 1} columns, have n={n}"
         )
 
-    first_index: dict[tuple[int, ...], int] = {}
     positions: dict[tuple[int, ...], list[int]] = {}
     for idx, col in enumerate(full.vertical.columns, start=1):
         positions.setdefault(col.colors, []).append(idx)
-        first_index.setdefault(col.colors, idx)
     pair = None
     for i in range(1, n + 1):
         twins = positions[full.vertical.columns[i - 1].colors]
@@ -164,6 +168,20 @@ def shelah_refute(chi: VerticalColoring) -> RefutationWitness:
 BOUND_NAMES = ("shelah", "gyarfas", "thm1", "thm2", "prop_diag", "prop_offdiag")
 
 
+def check_bound_digits(r: int) -> None:
+    """Refuse r whose r^C(r+1,2), the largest term of every bound, is too long to print.
+
+    The digit count C(r+1,2) * log10(r) is estimated before any power is
+    computed; beyond MAX_BOUND_DIGITS digits this raises TooLargeError.
+    """
+    digits = int(comb(r + 1, 2) * log10(r)) + 1
+    if digits > MAX_BOUND_DIGITS:
+        raise TooLargeError(
+            f"r={r} gives bounds of about {digits} digits, "
+            f"above the {MAX_BOUND_DIGITS}-digit limit"
+        )
+
+
 def theorem_params(r: int, which: str) -> TheoremParams:
     """Exact (m, n) parameters of the named bound statements.
 
@@ -175,7 +193,8 @@ def theorem_params(r: int, which: str) -> TheoremParams:
     prop_offdiag  m = r^(r-1) * (r^r - 1), n = m + r + 1
 
     All values are exact integers.  The halved n of thm1 and prop_diag is not
-    integral for odd r; it is floored and flagged via `n_floored`.
+    integral for odd r; it is floored and flagged via `n_floored`.  An r whose
+    values would pass MAX_BOUND_DIGITS digits raises TooLargeError.
     """
     if which not in BOUND_NAMES:
         raise ValueError(f"unknown bound name {which!r}; expected one of {BOUND_NAMES}")
@@ -183,6 +202,7 @@ def theorem_params(r: int, which: str) -> TheoremParams:
         raise ValueError("r must be at least 1")
     if which in ("thm1", "thm2") and r < 2:
         raise ValueError(f"{which} is stated for r >= 2")
+    check_bound_digits(r)
 
     big = r ** comb(r + 1, 2)
     if which == "shelah":

@@ -13,17 +13,10 @@ colouring (always reachable by switching), columns 2..n are required to be
 lexicographically non-decreasing (column order is irrelevant to goodness),
 and colours appear in first-use order (colour names are irrelevant).  Every
 discarded colouring has a kept representative, so the search stays exact.
-
-`GRIDRAM_THREADS` caps the worker threads fanning out over the column-2
-choices (0 means auto, unset means sequential).  Results are byte-identical
-for every worker count: the reduction picks the success with the smallest
-candidate index, which is exactly what the sequential scan returns.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -40,6 +33,7 @@ from .core import (
     GridDims,
     Rectangle,
     VerticalColoring,
+    agreement_mask,
     enumerate_alternating_rectangles,
     pair_rank,
     row_pairs,
@@ -88,21 +82,6 @@ class Verdict:
     ok: bool
     rectangles: tuple[Rectangle, ...] = ()
     report: GoodnessReport | None = None
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("GRIDRAM_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"GRIDRAM_THREADS must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise ValueError("GRIDRAM_THREADS must be nonnegative")
-    if value == 0:
-        return os.cpu_count() or 1
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +191,6 @@ def g_exact_naive(m: int, n: int, r_cap: int | None = None) -> SearchResult:
 # ---------------------------------------------------------------------------
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
 def _gen_columns(
     pair_count: int, r: int, lower: tuple[int, ...] | None, used0: int
 ) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -241,100 +216,50 @@ def _gen_columns(
     yield from rec(0, used0, lower is not None)
 
 
-def _color_masks(colors: tuple[int, ...]) -> dict[int, int]:
-    masks: dict[int, int] = {}
-    for rank, c in enumerate(colors):
-        masks[c] = masks.get(c, 0) | (1 << rank)
-    return masks
-
-
 def _vertical_decision(
-    m: int, n: int, r: int, budget: int, workers: int
+    m: int, n: int, r: int, budget: int
 ) -> tuple[VerticalColoring | None, int]:
     """First good 1-stabilised colouring in canonical order, or None.
 
-    The budget applies per column-2 subtree, so the outcome does not depend
-    on the worker count; a tripped budget surfaces as TooLargeError unless a
-    success at an earlier candidate settles the question first.
+    The budget applies per column-2 subtree; a tripped budget raises
+    TooLargeError.
     """
     pair_count = comb(m, 2)
-    col1 = (1,) * pair_count
-    masks_cache: dict[tuple[int, ...], dict[int, int]] = {col1: _color_masks(col1)}
+    col1 = ColumnColoring(m, (1,) * pair_count)
+    if n == 1:
+        return VerticalColoring(GridDims(m, n), r, (col1,)), 0
 
-    def compatible(col_a: tuple[int, ...], col_b: tuple[int, ...]) -> bool:
-        masks_a = masks_cache.setdefault(col_a, _color_masks(col_a))
-        masks_b = masks_cache.setdefault(col_b, _color_masks(col_b))
-        mask = 0
-        for c, bits in masks_a.items():
-            other = masks_b.get(c)
-            if other is not None:
-                mask |= bits & other
-        return cached_chromatic_at_most(AgreementGraph(m, mask), r) is not None
+    def compatible(prev: ColumnColoring, cand: ColumnColoring) -> bool:
+        graph = AgreementGraph(m, agreement_mask(prev, cand))
+        return cached_chromatic_at_most(graph, r) is not None
 
     def explore(
-        cols: list[tuple[int, ...]], used: int, nodes: list[int]
-    ) -> list[tuple[int, ...]] | None:
+        cols: list[ColumnColoring], used: int, nodes: list[int]
+    ) -> list[ColumnColoring] | None:
         if len(cols) == n:
-            return list(cols)
-        lower = cols[-1] if len(cols) >= 2 else None
-        for cand, used_after in _gen_columns(pair_count, r, lower, used):
+            return cols
+        for colors, used_after in _gen_columns(pair_count, r, cols[-1].colors, used):
             nodes[0] += 1
             if nodes[0] > budget:
-                raise _BudgetExceeded
+                raise TooLargeError(f"search exceeded the node budget ({budget}) at r={r}")
+            cand = ColumnColoring(m, colors)
             if all(compatible(prev, cand) for prev in cols):
                 result = explore(cols + [cand], used_after, nodes)
                 if result is not None:
                     return result
         return None
 
-    def finish(cols: list[tuple[int, ...]]) -> VerticalColoring:
-        return VerticalColoring.from_columns(m, n, r, cols)
-
-    if n == 1:
-        return finish([col1]), 0
-
-    candidates = list(_gen_columns(pair_count, r, None, 1))
     total_nodes = 0
-
-    if workers <= 1 or len(candidates) <= 1:
-        for cand, used_after in candidates:
-            total_nodes += 1
-            if not compatible(col1, cand):
-                continue
-            nodes = [0]
-            try:
-                result = explore([col1, cand], used_after, nodes)
-            except _BudgetExceeded:
-                raise TooLargeError(
-                    f"search exceeded the node budget ({budget}) at r={r}"
-                ) from None
-            total_nodes += nodes[0]
-            if result is not None:
-                return finish(result), total_nodes
-        return None, total_nodes
-
-    def task(item: tuple[tuple[int, ...], int]):
-        cand, used_after = item
+    for colors, used_after in _gen_columns(pair_count, r, None, 1):
+        total_nodes += 1
+        cand = ColumnColoring(m, colors)
         if not compatible(col1, cand):
-            return "miss", None, 0
+            continue
         nodes = [0]
-        try:
-            result = explore([col1, cand], used_after, nodes)
-        except _BudgetExceeded:
-            return "budget", None, nodes[0]
+        result = explore([col1, cand], used_after, nodes)
+        total_nodes += nodes[0]
         if result is not None:
-            return "hit", result, nodes[0]
-        return "miss", None, nodes[0]
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        outcomes = list(pool.map(task, candidates))
-    for status, result, nodes_used in outcomes:
-        total_nodes += nodes_used + 1
-        if status == "budget":
-            raise TooLargeError(f"search exceeded the node budget ({budget}) at r={r}")
-        if status == "hit":
-            assert result is not None
-            return finish(result), total_nodes
+            return VerticalColoring(GridDims(m, n), r, tuple(result)), total_nodes
     return None, total_nodes
 
 
@@ -360,14 +285,13 @@ def g_exact_vertical(
         raise TooLargeError(f"n={n} exceeds the column limit ({MAX_VERTICAL_COLUMNS})")
 
     start = perf_counter()
-    workers = _worker_count()
     total_nodes = 0
     for r in range(1, r_cap + 1):
         if r ** comb(m, 2) > MAX_COLUMN_SPACE:
             raise TooLargeError(
                 f"column space {r}^C({m},2) exceeds the search envelope"
             )
-        chi, nodes_used = _vertical_decision(m, n, r, node_budget, workers)
+        chi, nodes_used = _vertical_decision(m, n, r, node_budget)
         total_nodes += nodes_used
         if chi is not None:
             certificate = extend_to_full(chi)

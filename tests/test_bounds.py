@@ -12,7 +12,6 @@ from gridram import (
     SetFamily,
     VerticalColoring,
     agreement_graph,
-    binomial,
     bound_table,
     check_L_intersecting,
     diag_inequality_check,
@@ -24,16 +23,6 @@ from gridram import (
     is_good,
     stabilised_partitions,
 )
-
-
-class TestBinomial:
-    def test_small_values(self):
-        assert binomial(4, 2) == 6
-        assert binomial(7, 0) == 1
-        assert binomial(3, 5) == 0
-
-    def test_large_exact_product(self):
-        assert binomial(16321, 2) == 16321 * 16320 // 2 == 133179360
 
 
 class TestFranklWilson:

@@ -3,6 +3,7 @@
 import io
 import random
 
+import pytest
 from helpers import random_stabilised
 
 from gridram import VerticalColoring, certio
@@ -221,6 +222,22 @@ def test_check_ineq_range_tsv(capsys):
 def test_too_large_exit_code(capsys):
     code, _, err = run(capsys, "search-g", "--m", "9", "--n", "9", "--oracle", "naive")
     assert code == 2
+    assert "too large" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bounds", "--r", "70", "--which", "shelah"),
+        ("bounds", "--r", "70", "--which", "gyarfas"),
+        ("bounds", "--r-max", "70"),
+        ("check-ineq", "--r-max", "70"),
+    ],
+)
+def test_bounds_too_long_to_print_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
     assert "too large" in err
 
 

@@ -10,6 +10,7 @@ from gridram import (
     FullGridColoring,
     PreconditionUnmetError,
     TheoremParams,
+    TooLargeError,
     VerticalColoring,
     agreement_graph,
     chromatic_at_most,
@@ -179,3 +180,8 @@ class TestTheoremParams:
             theorem_params(1, "thm1")
         with pytest.raises(ValueError):
             theorem_params(0, "shelah")
+
+    def test_refuses_bounds_too_long_to_print(self):
+        assert len(str(theorem_params(64, "shelah").m)) == 3757
+        with pytest.raises(TooLargeError):
+            theorem_params(70, "shelah")
