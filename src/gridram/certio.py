@@ -102,9 +102,20 @@ def parse(text: str) -> VerticalColoring | FullGridColoring:
         raise CertificateError(no, f"dimensions must be positive, got m={m} n={n} r={r}")
     pos += 1
 
+    # Colours by dense edge index: vertical (col - 1) * C(m,2) + pair_rank(a, b, m),
+    # horizontal pair_rank(i, j, n) * m + (row - 1).  The slots are lists when
+    # the edge lines could fill them.  A dimensions line declaring more edges
+    # than the text has lines is sure to fail and gets sparse slots, so memory
+    # follows the lines read, never the declared n*C(m,2) + m*C(n,2).
     pair_count = comb(m, 2)
-    vertical: list[list[int | None]] = [[None] * pair_count for _ in range(n)]
-    horizontal: list[int | None] = [None] * (m * comb(n, 2))
+    v_count = n * pair_count
+    h_count = m * comb(n, 2) if kind == "full" else 0
+    vertical: list[int | None] | _SparseSlots
+    horizontal: list[int | None] | _SparseSlots
+    if v_count + h_count <= len(significant) - pos:
+        vertical, horizontal = [None] * v_count, [None] * h_count
+    else:
+        vertical, horizontal = _SparseSlots(), _SparseSlots()
 
     for no, line in significant[pos:]:
         tokens = line.split()
@@ -121,10 +132,10 @@ def parse(text: str) -> VerticalColoring | FullGridColoring:
                 raise CertificateError(no, f"column {first} outside [1, {n}]")
             if not 1 <= a < b <= m:
                 raise CertificateError(no, f"row pair ({a}, {b}) invalid for m={m}")
-            rank = pair_rank(a, b, m)
-            if vertical[first - 1][rank] is not None:
+            index = (first - 1) * pair_count + pair_rank(a, b, m)
+            if vertical[index] is not None:
                 raise CertificateError(no, f"duplicate vertical edge: col {first} pair ({a}, {b})")
-            vertical[first - 1][rank] = color
+            vertical[index] = color
         else:
             if kind != "full":
                 raise CertificateError(no, "horizontal edge in a vertical certificate")
@@ -137,31 +148,56 @@ def parse(text: str) -> VerticalColoring | FullGridColoring:
                 raise CertificateError(no, f"duplicate horizontal edge: row {first} pair ({a}, {b})")
             horizontal[index] = color
 
-    pairs = row_pairs(m)
-    for col in range(n):
-        for rank, value in enumerate(vertical[col]):
-            if value is None:
-                a, b = pairs[rank]
-                raise CertificateError(
-                    last_line, f"missing vertical edge: col {col + 1} pair ({a}, {b})"
-                )
+    missing = _first_empty(vertical, v_count)
+    if missing < v_count:
+        col, rank = divmod(missing, pair_count)
+        a, b = _pair_at(rank, m)
+        raise CertificateError(
+            last_line, f"missing vertical edge: col {col + 1} pair ({a}, {b})"
+        )
     chi = VerticalColoring(
         GridDims(m, n),
         r,
-        tuple(ColumnColoring(m, tuple(col)) for col in vertical),  # type: ignore[arg-type]
+        tuple(
+            ColumnColoring(m, tuple(map(vertical.__getitem__, range(start, start + pair_count))))
+            for start in (col * pair_count for col in range(n))
+        ),
     )
     if kind == "vertical":
         return chi
 
-    col_pairs = tuple(combinations(range(1, n + 1), 2))
-    for index, value in enumerate(horizontal):
-        if value is None:
-            i, j = col_pairs[index // m]
-            raise CertificateError(
-                last_line,
-                f"missing horizontal edge: row {index % m + 1} pair ({i}, {j})",
-            )
-    return FullGridColoring(chi, tuple(horizontal))  # type: ignore[arg-type]
+    missing = _first_empty(horizontal, h_count)
+    if missing < h_count:
+        pair, row = divmod(missing, m)
+        i, j = _pair_at(pair, n)
+        raise CertificateError(
+            last_line, f"missing horizontal edge: row {row + 1} pair ({i}, {j})"
+        )
+    return FullGridColoring(chi, tuple(map(horizontal.__getitem__, range(h_count))))
+
+
+class _SparseSlots(dict):
+    """Edge slots of a certificate that is sure to be incomplete; empty ones read as None."""
+
+    def __missing__(self, index: int) -> None:
+        return None
+
+
+def _first_empty(slots: list[int | None] | _SparseSlots, count: int) -> int:
+    """First empty slot below `count`, else `count`; at most filled + 1 steps."""
+    index = 0
+    while index < count and slots[index] is not None:
+        index += 1
+    return index
+
+
+def _pair_at(rank: int, size: int) -> tuple[int, int]:
+    """The pair of [size] with `pair_rank` `rank`, found in at most rank + 1 steps."""
+    a = 1
+    while rank >= size - a:
+        rank -= size - a
+        a += 1
+    return a, a + 1 + rank
 
 
 def load(path: str | Path) -> VerticalColoring | FullGridColoring:

@@ -29,6 +29,7 @@ __all__ = [
     "GoodnessReport",
     "chromatic_at_most",
     "cached_chromatic_at_most",
+    "witness_table",
     "is_good",
     "extend_to_full",
 ]
@@ -148,22 +149,36 @@ def chromatic_at_most(graph: AgreementGraph, r: int) -> ProperColoring | None:
     return ProperColoring(m, RowPartition.from_classes(groups.values()))
 
 
-_witness_cache: dict[tuple[int, int, int], ProperColoring | None] = {}
+_witness_cache: dict[tuple[int, int], dict[int, ProperColoring | None]] = {}
+
+
+def witness_table(m: int, r: int) -> dict[int, ProperColoring | None]:
+    """The memo of `chromatic_at_most` results for m rows and r colours, by edge mask.
+
+    Only the most recently requested (m, r) table is kept: asking for another
+    pair drops the others.  No search comes back to an earlier pair (G_exact
+    goes size by size, each size trying r = 1, 2, ...), so this bounds the
+    memo without costing any search a solve.
+    """
+    table = _witness_cache.get((m, r))
+    if table is None:
+        _witness_cache.clear()
+        table = _witness_cache[(m, r)] = {}
+    return table
 
 
 def cached_chromatic_at_most(graph: AgreementGraph, r: int) -> ProperColoring | None:
-    """`chromatic_at_most` behind a process-wide memo keyed on (m, r, mask).
+    """`chromatic_at_most` behind the memo of `witness_table`.
 
-    Searches meet the same agreement graphs over and over; every writer
-    computes the identical value, so concurrent use needs no locking.
+    Searches meet the same agreement graphs over and over, so each mask is
+    solved once per table.
     """
-    key = (graph.m, r, graph.mask)
+    table = witness_table(graph.m, r)
     try:
-        return _witness_cache[key]
+        return table[graph.mask]
     except KeyError:
         pass
-    witness = chromatic_at_most(graph, r)
-    _witness_cache[key] = witness
+    witness = table[graph.mask] = chromatic_at_most(graph, r)
     return witness
 
 

@@ -13,19 +13,38 @@ colouring (always reachable by switching), columns 2..n are required to be
 lexicographically non-decreasing (column order is irrelevant to goodness),
 and colours appear in first-use order (colour names are irrelevant).  Every
 discarded colouring has a kept representative, so the search stays exact.
+
+Each call of the vertical oracle first builds a candidate table: every column
+of [1, r]^C(m,2), in the lexicographic order the traversal wants, so a node
+walks table indices up from its last column's index.  A column is packed into
+one int holding its per-colour rank masks side by side (colour c at bits
+[(c-1)*C(m,2), c*C(m,2))); the agreement mask of two columns is then one AND
+and an OR-fold of the r lanes, and the search reads the colouring memo by that
+mask directly.  Only the colouring found is decoded into `ColumnColoring`s.
+The packed form stays private to this module: a `ColumnColoring` with its
+cached `color_masks` costs about 600 B, the table about 48 B per column (50 MB
+at the MAX_COLUMN_SPACE edge of 2^20 columns); and the core keeps its
+per-colour dict because packing the 730-row columns of a refutation bit by bit
+is about three times slower.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from pathlib import Path
 from time import perf_counter
-from typing import Iterator
 
 from . import certio
-from .coloring import GoodnessReport, cached_chromatic_at_most, extend_to_full, is_good
+from .coloring import (
+    GoodnessReport,
+    cached_chromatic_at_most,
+    extend_to_full,
+    is_good,
+    witness_table,
+)
 from .core import (
     AgreementGraph,
     ColumnColoring,
@@ -33,7 +52,6 @@ from .core import (
     GridDims,
     Rectangle,
     VerticalColoring,
-    agreement_mask,
     enumerate_alternating_rectangles,
     pair_rank,
     row_pairs,
@@ -57,6 +75,7 @@ MAX_NAIVE_EDGES = 26
 MAX_COLUMN_SPACE = 1 << 20
 MAX_VERTICAL_COLUMNS = 16
 DEFAULT_NODE_BUDGET = 2_000_000
+_UNSEEN = object()
 
 
 @dataclass(frozen=True)
@@ -191,29 +210,38 @@ def g_exact_naive(m: int, n: int, r_cap: int | None = None) -> SearchResult:
 # ---------------------------------------------------------------------------
 
 
-def _gen_columns(
-    pair_count: int, r: int, lower: tuple[int, ...] | None, used0: int
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Canonical column tuples that are lexicographically >= `lower`.
+def _candidate_table(pair_count: int, r: int) -> tuple[list[int], array, array]:
+    """Every column of [1, r]^pair_count in lexicographic order, as three sequences.
 
-    Yields (colors, colours_used_after); entries respect first-use colour
-    order given that `used0` colours are already in use.
+    Entry k is the column whose colours are the base-r digits of k plus one,
+    the order `itertools.product(range(1, r + 1), repeat=pair_count)` gives.
+    `packed[k]` holds its rank mask of colour c at bits
+    [(c - 1) * pair_count, c * pair_count); `need[k]` is the fewest colours
+    already in use for which its colours come in first-use order; `top[k]` is
+    its largest colour.  Built one position at a time, extending every prefix
+    by each colour in turn.
     """
-    if pair_count == 0:
-        yield (), used0
-        return
-    entry = [0] * pair_count
+    packed, need, top = [0], [0], [0]
+    colours = range(1, r + 1)
+    for rank in range(pair_count):
+        bits = [1 << ((c - 1) * pair_count + rank) for c in colours]
+        packed = [word | bit for word in packed for bit in bits]
+        need = [
+            max(u, c - 1) if c > t + 1 else u
+            for u, t in zip(need, top)
+            for c in colours
+        ]
+        top = [max(t, c) for t in top for c in colours]
+    return packed, array("I", need), array("I", top)
 
-    def rec(pos: int, used: int, tight: bool) -> Iterator[tuple[tuple[int, ...], int]]:
-        if pos == pair_count:
-            yield tuple(entry), used
-            return
-        low = lower[pos] if tight and lower is not None else 1
-        for c in range(low, min(used + 1, r) + 1):
-            entry[pos] = c
-            yield from rec(pos + 1, max(used, c), tight and c == low)
 
-    yield from rec(0, used0, lower is not None)
+def _decode_column(m: int, r: int, index: int) -> ColumnColoring:
+    """The column at `index` of the candidate table."""
+    colors = []
+    for _ in range(comb(m, 2)):
+        index, digit = divmod(index, r)
+        colors.append(digit + 1)
+    return ColumnColoring(m, tuple(reversed(colors)))
 
 
 def _vertical_decision(
@@ -224,42 +252,62 @@ def _vertical_decision(
     The budget applies per column-2 subtree; a tripped budget raises
     TooLargeError.
     """
-    pair_count = comb(m, 2)
-    col1 = ColumnColoring(m, (1,) * pair_count)
+    dims = GridDims(m, n)
     if n == 1:
-        return VerticalColoring(GridDims(m, n), r, (col1,)), 0
+        return VerticalColoring(dims, r, (_decode_column(m, r, 0),)), 0
+    pair_count = comb(m, 2)
+    packed, need, top = _candidate_table(pair_count, r)
+    size = len(packed)
+    lane = (1 << pair_count) - 1
+    shifts = [c * pair_count for c in range(1, r)]
+    witnesses = witness_table(m, r)
 
-    def compatible(prev: ColumnColoring, cand: ColumnColoring) -> bool:
-        graph = AgreementGraph(m, agreement_mask(prev, cand))
-        return cached_chromatic_at_most(graph, r) is not None
+    def compatible(word: int, cand: int) -> bool:
+        both = word & cand
+        mask = both
+        for shift in shifts:
+            mask |= both >> shift
+        mask &= lane
+        witness = witnesses.get(mask, _UNSEEN)
+        if witness is _UNSEEN:
+            witness = cached_chromatic_at_most(AgreementGraph(m, mask), r)
+        return witness is not None
 
-    def explore(
-        cols: list[ColumnColoring], used: int, nodes: list[int]
-    ) -> list[ColumnColoring] | None:
+    def explore(cols: list[int], used: int) -> list[int] | None:
+        nonlocal nodes
         if len(cols) == n:
             return cols
-        for colors, used_after in _gen_columns(pair_count, r, cols[-1].colors, used):
-            nodes[0] += 1
-            if nodes[0] > budget:
+        words = [packed[k] for k in cols]
+        for k in range(cols[-1], size):
+            if need[k] > used:
+                continue
+            nodes += 1
+            if nodes > budget:
                 raise TooLargeError(f"search exceeded the node budget ({budget}) at r={r}")
-            cand = ColumnColoring(m, colors)
-            if all(compatible(prev, cand) for prev in cols):
-                result = explore(cols + [cand], used_after, nodes)
+            cand = packed[k]
+            for word in words:
+                if not compatible(word, cand):
+                    break
+            else:
+                result = explore(cols + [k], max(used, top[k]))
                 if result is not None:
                     return result
         return None
 
+    # Column 1 is the constant colouring: entry 0, one colour in use.
     total_nodes = 0
-    for colors, used_after in _gen_columns(pair_count, r, None, 1):
-        total_nodes += 1
-        cand = ColumnColoring(m, colors)
-        if not compatible(col1, cand):
+    for k in range(size):
+        if need[k] > 1:
             continue
-        nodes = [0]
-        result = explore([col1, cand], used_after, nodes)
-        total_nodes += nodes[0]
+        total_nodes += 1
+        if not compatible(packed[0], packed[k]):
+            continue
+        nodes = 0
+        result = explore([0, k], max(1, top[k]))
+        total_nodes += nodes
         if result is not None:
-            return VerticalColoring(GridDims(m, n), r, tuple(result)), total_nodes
+            columns = tuple(_decode_column(m, r, index) for index in result)
+            return VerticalColoring(dims, r, columns), total_nodes
     return None, total_nodes
 
 

@@ -1,6 +1,7 @@
 """Certificate text format: canonical emission, strict parsing, diagnostics."""
 
 import random
+import tracemalloc
 
 import pytest
 from helpers import random_full, random_vertical
@@ -68,6 +69,31 @@ class TestDiagnostics:
             certio.parse(text)
         assert "missing vertical edge" in str(err.value)
         assert err.value.line >= 1
+
+    def test_missing_edge_named_exactly(self):
+        # the first missing edge in emission order, reported at the last line
+        lines = self.valid_text().splitlines()
+        kept = [line for line in lines if line not in ("v 2 1 2 1", "v 2 1 2 2")]
+        with pytest.raises(CertificateError) as err:
+            certio.parse("\n".join(kept) + "\n")
+        assert str(err.value) == f"line {len(kept)}: missing vertical edge: col 2 pair (1, 2)"
+        kept = [line for line in lines if not line.startswith("h 2 2 3 ")]
+        with pytest.raises(CertificateError) as err:
+            certio.parse("\n".join(kept) + "\n")
+        assert str(err.value) == f"line {len(kept)}: missing horizontal edge: row 2 pair (2, 3)"
+
+    def test_header_alone_allocates_nothing_large(self):
+        # memory follows the edge lines read, not the declared n*C(m,2) + m*C(n,2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CertificateError) as err:
+                certio.parse("gridram v1\ntype full\nm 200 n 200 r 2\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "missing vertical edge: col 1 pair (1, 2)" in str(err.value)
+        assert err.value.line == 3
+        assert peak < 2 * 2**20
 
     def test_duplicate_edge(self):
         lines = self.valid_text().splitlines()

@@ -1,5 +1,6 @@
 """Oracle behaviour: equivalence, bounds, determinism, verification."""
 
+import hashlib
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from gridram import (
     row_index_coloring,
     verify_text,
 )
-from gridram import certio
+from gridram import certio, coloring
 
 CELLS = [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)] + [(2, 4), (2, 5)]
 
@@ -80,6 +81,33 @@ class TestOracles:
         result = g_exact_vertical(5, 5)
         assert result.value == 2
         assert result.stats.nodes == 1392
+
+    @pytest.mark.parametrize(
+        "m, n, nodes, digest",
+        [
+            (4, 9, 94823, "79be6eda4e1b702e1ff30b112c1432f6f56281afc2889aaccf78a3d2da22a668"),
+            (3, 16, 271, "b3cb60b1184dd3b3d1eb189898f5c130d3f95e0b0ed222a810f3e5c1be516b02"),
+        ],
+    )
+    def test_vertical_traversal_pinned_at_three_colours(self, m, n, nodes, digest):
+        # at r = 3 the first-use colour rule rejects columns, so the node count
+        # and the certificate pin which candidates are skipped and which counted
+        result = g_exact_vertical(m, n)
+        assert result.value == 3
+        assert result.stats.nodes == nodes
+        assert hashlib.sha256(certio.emit(result.certificate).encode()).hexdigest() == digest
+
+    def test_vertical_tall_columns_at_one_colour(self):
+        # r = 1 passes the column-space guard at any m, so a column of 1,035
+        # row pairs must not recurse once per pair
+        assert g_exact_vertical(46, 2, r_cap=1).value is None
+        with pytest.raises(TooLargeError, match="column space"):
+            g_exact_vertical(46, 2)
+
+    def test_memo_keeps_only_the_latest_table(self):
+        g_exact_vertical(6, 5)
+        g_exact_vertical(4, 4)
+        assert list(coloring._witness_cache) == [(4, 2)]
 
     def test_vertical_node_budget(self):
         with pytest.raises(TooLargeError, match="node budget"):
