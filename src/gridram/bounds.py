@@ -11,15 +11,10 @@ import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .coloring import cached_chromatic_at_most
 from .constructions import check_bound_digits, theorem_params
-from .core import AgreementGraph, RowPartition, VerticalColoring
-from .errors import (
-    FisherHypothesisError,
-    InternalContradictionError,
-    NotColorableError,
-)
-from .transforms import common_refinement
+from .core import RowPartition, VerticalColoring
+from .errors import FisherHypothesisError, InternalContradictionError
+from .transforms import refined_partition
 
 __all__ = [
     "SetFamily",
@@ -176,18 +171,7 @@ def stabilised_partitions(chi: VerticalColoring) -> dict[int, RowPartition]:
         raise ValueError(f"needs at least r = {r} columns, have {chi.n}")
     if not chi.is_stabilised(r - 1):
         raise ValueError(f"input is not {r - 1}-stabilised")
-    out: dict[int, RowPartition] = {}
-    for j in range(r, chi.n + 1):
-        col = chi.column(j)
-        parts = []
-        for i in range(1, r):
-            mask = col.color_masks.get(i, 0)
-            witness = cached_chromatic_at_most(AgreementGraph(chi.m, mask), r)
-            if witness is None:
-                raise NotColorableError(i, against=j)
-            parts.append(witness.classes)
-        out[j] = common_refinement(parts)
-    return out
+    return {j: refined_partition(chi, j, r - 1) for j in range(r, chi.n + 1)}
 
 
 def extract_largest_classes(chi: VerticalColoring) -> SetFamily:

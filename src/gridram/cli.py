@@ -103,15 +103,11 @@ def _write_switch_log(records: list[SwitchRecord], path: str) -> None:
 
 def _cmd_bounds(args) -> int:
     if args.r_max is not None:
-        reports = bound_table(args.r_max)
-        print("r\tshelah\tgyarfas\tthm1_m\tthm1_n\tthm2_m\tthm2_n\tdiag_ineq_ok")
-        for report in reports:
-            v = report.values
-            print(
-                f"{report.parameters['r']}\t{v['shelah']}\t{v['gyarfas']}\t"
-                f"{v['thm1_m']}\t{v['thm1_n']}\t{v['thm2_m']}\t{v['thm2_n']}\t"
-                f"{_fmt(report.satisfied)}"
-            )
+        rows = [
+            {**report.parameters, **report.values, "diag_ineq_ok": report.satisfied}
+            for report in bound_table(args.r_max)
+        ]
+        _print_records(rows, "tsv")
         return 0
     if args.r is None or args.which is None:
         raise ValueError("provide either --r-max or both --r and --which")
@@ -196,13 +192,13 @@ def _cmd_extend(args) -> int:
 
 def _cmd_stabilise(args) -> int:
     chi = _read_vertical(args.input)
-    log: list[SwitchRecord] = []
     if args.step is None:
+        log: list[SwitchRecord] = []
         result = stabilise_first(chi, log)
         info = f"stabilised column 1 with {len(log)} switches"
     else:
-        step = stabilise_step(chi, args.step, log)
-        result = step.coloring
+        step = stabilise_step(chi, args.step)
+        result, log = step.coloring, list(step.switches)
         rows = ",".join(str(row) for row in step.rows)
         info = f"stabilised to level {args.step + 1}, kept rows {rows}"
     if args.log_switches:

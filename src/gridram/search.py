@@ -74,6 +74,8 @@ __all__ = [
 MAX_NAIVE_EDGES = 26
 MAX_COLUMN_SPACE = 1 << 20
 MAX_VERTICAL_COLUMNS = 16
+# r = 1 passes the column-space guard at any m, so rows need a bound of their own.
+MAX_VERTICAL_ROWS = 64
 DEFAULT_NODE_BUDGET = 2_000_000
 _UNSEEN = object()
 
@@ -320,8 +322,8 @@ def g_exact_vertical(
     """Exact minimum colour count via the 1-stabilised vertical search.
 
     Agrees with `g_exact_naive` wherever both run; the certificate is the
-    extension of the found vertical colouring.  Raises TooLargeError when
-    the per-column candidate space or the node budget is exceeded.
+    extension of the found vertical colouring.  Raises TooLargeError beyond
+    the row, column, per-column candidate-space or node-budget limits.
     """
     if m < 1 or n < 1:
         raise ValueError("grid dimensions must be positive")
@@ -331,6 +333,8 @@ def g_exact_vertical(
         raise ValueError("r_cap must be at least 1")
     if n > MAX_VERTICAL_COLUMNS:
         raise TooLargeError(f"n={n} exceeds the column limit ({MAX_VERTICAL_COLUMNS})")
+    if m > MAX_VERTICAL_ROWS:
+        raise TooLargeError(f"m={m} exceeds the row limit ({MAX_VERTICAL_ROWS})")
 
     start = perf_counter()
     total_nodes = 0

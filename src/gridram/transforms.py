@@ -6,6 +6,10 @@ because it preserves every agreement graph.  Stabilisation uses switches to
 make initial columns constant: column 1 can always be fixed to c_1, and a
 k-stabilised colouring can be pushed to a (k+1)-stabilised one on a large
 row subset by a pigeonhole over a refined partition.
+
+A step refines, restricts to the largest class, then makes column k+1
+constant in one switching pass, sound because switches at distinct row pairs
+commute.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ __all__ = [
     "switch",
     "stabilise_first",
     "common_refinement",
+    "refined_partition",
     "restrict_rows",
     "stabilise_step",
 ]
@@ -49,7 +54,7 @@ class SwitchRecord:
 class StabiliseStep:
     """Outcome of one stabilisation step.
 
-    `rows` are the kept rows in the labels of the *input* colouring;
+    `rows` (kept) and `switches` (applied) use the row labels of the *input* colouring;
     `coloring` is the restriction to those rows, relabelled 1..|rows|;
     `partition` is the refined partition the largest class was drawn from.
     """
@@ -73,22 +78,37 @@ def switch(
     for colour in (c, c_tilde):
         if not 1 <= colour <= chi.r:
             raise ValueError(f"colour {colour} outside [1, {chi.r}]")
-    if c == c_tilde:
-        return chi
-    new_columns = []
+    return _switch_at(chi, [(rank, c, c_tilde)])
+
+
+def _switch_at(chi: VerticalColoring, swaps: list[tuple[int, int, int]]) -> VerticalColoring:
+    """Apply the switches (rank, c, c_tilde) at distinct ranks, building each column once.
+
+    Switches at distinct row pairs commute, so their order does not matter.
+    """
+    columns = []
     for col in chi.columns:
-        val = col.colors[rank]
-        if val == c:
-            new_val = c_tilde
-        elif val == c_tilde:
-            new_val = c
-        else:
-            new_columns.append(col)
-            continue
         colors = list(col.colors)
-        colors[rank] = new_val
-        new_columns.append(ColumnColoring(col.m, tuple(colors)))
-    return VerticalColoring(chi.dims, chi.r, tuple(new_columns))
+        for rank, c, c_tilde in swaps:
+            if colors[rank] == c:
+                colors[rank] = c_tilde
+            elif colors[rank] == c_tilde:
+                colors[rank] = c
+        columns.append(ColumnColoring(chi.m, tuple(colors)))
+    return VerticalColoring(chi.dims, chi.r, tuple(columns))
+
+
+def _make_constant(
+    chi: VerticalColoring, j: int
+) -> tuple[VerticalColoring, tuple[SwitchRecord, ...]]:
+    """Make column j the constant colouring c_j in one switching pass.
+
+    Returns the result and the non-identity switches, in pair-rank order.
+    """
+    swaps = [(rank, j, cur) for rank, cur in enumerate(chi.column(j).colors) if cur != j]
+    pairs = row_pairs(chi.m)
+    records = tuple(SwitchRecord(pairs[rank], (j, cur)) for rank, _, cur in swaps)
+    return _switch_at(chi, swaps), records
 
 
 def stabilise_first(
@@ -100,13 +120,9 @@ def stabilise_first(
     switches are skipped and not logged).  The result is equivalent to the
     input under switching, so it is good exactly when the input is.
     """
-    out = chi
-    for a, b in row_pairs(chi.m):
-        cur = out.column(1).color(a, b)
-        if cur != 1:
-            out = switch(out, (a, b), 1, cur)
-            if log is not None:
-                log.append(SwitchRecord((a, b), (1, cur)))
+    out, records = _make_constant(chi, 1)
+    if log is not None:
+        log.extend(records)
     return out
 
 
@@ -127,6 +143,22 @@ def common_refinement(parts: Sequence[RowPartition]) -> RowPartition:
     return RowPartition.from_classes(groups.values())
 
 
+def refined_partition(chi: VerticalColoring, j: int, k: int) -> RowPartition:
+    """Common refinement of proper colourings of column j's colour-1..k graphs.
+
+    The colour-i graph holds the row pairs coloured c_i in column j.  Raises
+    NotColorableError(i, against=j) for the first one that is not r-colourable.
+    """
+    parts = []
+    for i in range(1, k + 1):
+        mask = chi.column(j).color_masks.get(i, 0)
+        witness = cached_chromatic_at_most(AgreementGraph(chi.m, mask), chi.r)
+        if witness is None:
+            raise NotColorableError(i, against=j)
+        parts.append(witness.classes)
+    return common_refinement(parts)
+
+
 def restrict_rows(chi: VerticalColoring, rows: Iterable[int]) -> VerticalColoring:
     """Keep only the given rows, relabelled 1..|rows| in increasing order."""
     kept = sorted(set(rows))
@@ -145,9 +177,7 @@ def restrict_rows(chi: VerticalColoring, rows: Iterable[int]) -> VerticalColorin
     return VerticalColoring(GridDims(new_m, chi.n), chi.r, columns)
 
 
-def stabilise_step(
-    chi: VerticalColoring, k: int, log: list[SwitchRecord] | None = None
-) -> StabiliseStep:
+def stabilise_step(chi: VerticalColoring, k: int) -> StabiliseStep:
     """Advance a k-stabilised colouring to a (k+1)-stabilised one on many rows.
 
     Because columns 1..k are constant, the agreement graph of columns i and
@@ -155,9 +185,9 @@ def stabilise_step(
     k+1.  A proper colouring of each yields a partition into c_i-independent
     classes; their common refinement has at most r^k classes, so its largest
     class X keeps at least ceil(M / r^k) rows.  Inside X, column k+1 only
-    uses colours outside {c_1..c_k}; switching c_{k+1} with the column-(k+1)
-    colour at every pair of X makes that column constant there without
-    touching any previously fixed colour.  Restricting to X finishes the step.
+    uses colours outside {c_1..c_k}; so after restricting to X, switching
+    c_{k+1} with the column-(k+1) colour at every pair makes that column
+    constant without touching any previously fixed colour.
 
     The largest class ties break to the smallest minimum element, and the
     switches run in pair-rank order, so the whole step is deterministic.
@@ -174,32 +204,17 @@ def stabilise_step(
     if not chi.is_stabilised(k):
         raise ValueError(f"input is not {k}-stabilised")
 
-    target = chi.column(k + 1)
-    partitions = []
-    for i in range(1, k + 1):
-        mask = target.color_masks.get(i, 0)
-        witness = cached_chromatic_at_most(AgreementGraph(m, mask), r)
-        if witness is None:
-            raise NotColorableError(i, against=k + 1)
-        partitions.append(witness.classes)
+    refined = refined_partition(chi, k + 1, k)
     if k == r:
         # All refinement classes would be {c_1..c_r}-independent, i.e.
         # singletons, and r^r of them cannot cover r^r + 1 rows.
         raise InternalContradictionError(
             "all r agreement graphs r-colourable at k = r with more than r^r rows"
         )
-    refined = common_refinement(partitions)
     largest = max(refined.classes, key=len)
-
-    switches: list[SwitchRecord] = []
-    out = chi
-    for s, t in combinations(largest, 2):
-        cur = out.column(k + 1).color(s, t)
-        if cur != k + 1:
-            out = switch(out, (s, t), k + 1, cur)
-            record = SwitchRecord((s, t), (k + 1, cur))
-            switches.append(record)
-            if log is not None:
-                log.append(record)
-    restricted = restrict_rows(out, largest)
-    return StabiliseStep(restricted, tuple(largest), refined, tuple(switches))
+    restricted, records = _make_constant(restrict_rows(chi, largest), k + 1)
+    switches = tuple(
+        SwitchRecord((largest[rec.edge[0] - 1], largest[rec.edge[1] - 1]), rec.colors)
+        for rec in records
+    )
+    return StabiliseStep(restricted, tuple(largest), refined, switches)

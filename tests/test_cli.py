@@ -1,5 +1,6 @@
 """CLI contract: wiring, output shapes, exit codes, pipelines."""
 
+import hashlib
 import io
 import random
 
@@ -168,6 +169,21 @@ def test_stabilise_step_reports_rows(capsys, tmp_path):
     assert certio.parse(out).is_stabilised(2)
 
 
+def test_stabilise_step_bytes_pinned(capsys, tmp_path):
+    # stdout and switch log of one step, as computed by the per-switch loop
+    path = tmp_path / "vert.txt"
+    path.write_text(certio.emit(random_stabilised(random.Random(102), 8, 4, 3, 1)))
+    log = tmp_path / "switches.log"
+    code, out, err = run(
+        capsys, "stabilise", "--input", str(path), "--step", "1", "--log-switches", str(log)
+    )
+    assert code == 0
+    assert err == "stabilised to level 2, kept rows 1,3,5,8\n"
+    assert len(log.read_text().splitlines()) == 5
+    digest = hashlib.sha256((out + log.read_text()).encode()).hexdigest()
+    assert digest == "806c4bf5f0cb2d26079129a37424f9e963ba38cc0cdce5c6b1dcc7931f9979e1"
+
+
 def test_refute_reports_witness(capsys, tmp_path):
     rng = random.Random(181)
     chi = random_stabilised(rng, 9, 3, 2, 1)
@@ -223,6 +239,13 @@ def test_too_large_exit_code(capsys):
     code, _, err = run(capsys, "search-g", "--m", "9", "--n", "9", "--oracle", "naive")
     assert code == 2
     assert "too large" in err
+
+
+def test_tall_vertical_search_exit_two(capsys):
+    code, out, err = run(capsys, "search-g", "--m", "1000", "--n", "2", "--oracle", "vertical")
+    assert code == 2
+    assert out == ""
+    assert "row limit" in err
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from time import perf_counter
 
 import pytest
 from helpers import random_full
@@ -103,6 +104,14 @@ class TestOracles:
         assert g_exact_vertical(46, 2, r_cap=1).value is None
         with pytest.raises(TooLargeError, match="column space"):
             g_exact_vertical(46, 2)
+
+    @pytest.mark.parametrize("r_cap", [None, 1])
+    def test_vertical_refuses_tall_grids_at_once(self, r_cap):
+        # the row bound is checked before any table is built or graph solved
+        start = perf_counter()
+        with pytest.raises(TooLargeError, match="row limit"):
+            g_exact_vertical(1000, 2, r_cap=r_cap)
+        assert perf_counter() - start < 0.1
 
     def test_memo_keeps_only_the_latest_table(self):
         g_exact_vertical(6, 5)

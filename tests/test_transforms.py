@@ -1,10 +1,12 @@
 """Switching, stabilisation steps, restriction, refinement."""
 
 import random
-from math import ceil
+from math import ceil, comb
 
 import pytest
 from helpers import random_stabilised, random_vertical, replay_switches
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridram import (
     NotColorableError,
@@ -236,6 +238,24 @@ class TestStabiliseStep:
             chi = random_stabilised(rng, 5, 3, 2, 2)
             with pytest.raises(NotColorableError):
                 stabilise_step(chi, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_one_pass_replays_the_logged_switches(self, data):
+        r = data.draw(st.integers(2, 3), label="r")
+        m = data.draw(st.integers(r + 1, 8), label="m")
+        n = data.draw(st.integers(2, 4), label="n")
+        column = st.lists(st.integers(1, r), min_size=comb(m, 2), max_size=comb(m, 2))
+        rest = data.draw(st.lists(column, min_size=n - 1, max_size=n - 1), label="columns")
+        chi = VerticalColoring.from_columns(m, n, r, [[1] * comb(m, 2), *rest])
+        try:
+            step = stabilise_step(chi, 1)
+        except NotColorableError:
+            return
+        assert restrict_rows(replay_switches(chi, step.switches), step.rows) == step.coloring
+        edges = [record.edge for record in step.switches]
+        assert all(a < b for a, b in zip(edges, edges[1:]))
+        assert all(c != c_tilde for c, c_tilde in (record.colors for record in step.switches))
 
     def test_precondition_validation(self):
         chi = VerticalColoring.from_columns(3, 2, 2, [[1, 1, 1], [2, 2, 2]])
