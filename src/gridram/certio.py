@@ -61,36 +61,35 @@ def emit(obj: VerticalColoring | FullGridColoring) -> str:
 
 
 def parse(text: str) -> VerticalColoring | FullGridColoring:
-    """Parse a certificate, enforcing exhaustiveness and colour ranges."""
+    """Parse a certificate, enforcing exhaustiveness and colour ranges.
+
+    One pass over the lines.  An edge line whose fields are canonical decimals
+    in range and whose slot is empty is stored directly; every other line
+    (blank, comment, padded oddly, non-canonical, out of range, duplicate)
+    goes through the full checks below, in their fixed order, so it is
+    accepted or rejected exactly as a line-by-line reading would.
+    """
     lines = text.splitlines()
-    significant: list[tuple[int, str]] = []
-    for no, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        significant.append((no, stripped))
     last_line = len(lines) if lines else 1
+    numbered = enumerate(lines, start=1)
 
-    if not significant:
-        raise CertificateError(last_line, "empty certificate")
-    pos = 0
+    def next_significant(missing: str) -> tuple[int, str]:
+        for no, raw in numbered:
+            stripped = raw.strip()
+            if stripped and not stripped.startswith("#"):
+                return no, stripped
+        raise CertificateError(last_line, missing)
 
-    no, line = significant[pos]
+    no, line = next_significant("empty certificate")
     if line != _HEADER:
         raise CertificateError(no, f"expected {_HEADER!r}, got {line!r}")
-    pos += 1
 
-    if pos >= len(significant):
-        raise CertificateError(last_line, "missing type line")
-    no, line = significant[pos]
+    no, line = next_significant("missing type line")
     if line not in ("type vertical", "type full"):
         raise CertificateError(no, f"expected 'type vertical' or 'type full', got {line!r}")
     kind = line.split()[1]
-    pos += 1
 
-    if pos >= len(significant):
-        raise CertificateError(last_line, "missing dimensions line")
-    no, line = significant[pos]
+    no, line = next_significant("missing dimensions line")
     tokens = line.split()
     if len(tokens) != 6 or tokens[0] != "m" or tokens[2] != "n" or tokens[4] != "r":
         raise CertificateError(no, f"expected 'm <int> n <int> r <int>', got {line!r}")
@@ -100,25 +99,50 @@ def parse(text: str) -> VerticalColoring | FullGridColoring:
         raise CertificateError(no, f"non-integer dimension in {line!r}") from None
     if m < 1 or n < 1 or r < 1:
         raise CertificateError(no, f"dimensions must be positive, got m={m} n={n} r={r}")
-    pos += 1
 
     # Colours by dense edge index: vertical (col - 1) * C(m,2) + pair_rank(a, b, m),
     # horizontal pair_rank(i, j, n) * m + (row - 1).  The slots are lists when
-    # the edge lines could fill them.  A dimensions line declaring more edges
+    # the lines left could fill them.  A dimensions line declaring more edges
     # than the text has lines is sure to fail and gets sparse slots, so memory
     # follows the lines read, never the declared n*C(m,2) + m*C(n,2).
+    full = kind == "full"
     pair_count = comb(m, 2)
     v_count = n * pair_count
-    h_count = m * comb(n, 2) if kind == "full" else 0
+    h_count = m * comb(n, 2) if full else 0
+    left = len(lines) - no
     vertical: list[int | None] | _SparseSlots
     horizontal: list[int | None] | _SparseSlots
-    if v_count + h_count <= len(significant) - pos:
-        vertical, horizontal = [None] * v_count, [None] * h_count
-    else:
-        vertical, horizontal = _SparseSlots(), _SparseSlots()
+    vertical = [None] * v_count if v_count <= left else _SparseSlots()
+    horizontal = [None] * h_count if v_count + h_count <= left else _SparseSlots()
 
-    for no, line in significant[pos:]:
-        tokens = line.split()
+    # The fast path reads fields through a table of canonical decimals, sized
+    # by the lines read; anything else maps to 0, which no range admits.  Pair
+    # ranks come from per-row offsets: pair_rank(a, b, size) == off[a] + b.
+    bound = min(max(m, n, r), len(lines))
+    value = {str(x): x for x in range(bound + 1)}.get
+    v_off = [(a - 1) * m - a * (a - 1) // 2 - a - 1 for a in range(min(m, bound) + 1)]
+    h_off = [(a - 1) * n - a * (a - 1) // 2 - a - 1 for a in range(min(n, bound) + 1)]
+
+    for no, raw in numbered:
+        tokens = raw.split()
+        if len(tokens) == 5:
+            edge, first, a, b, color = tokens
+            first, a, b, color = value(first, 0), value(a, 0), value(b, 0), value(color, 0)
+            if edge == "v":
+                if 1 <= color <= r and 1 <= first <= n and 1 <= a < b <= m:
+                    index = (first - 1) * pair_count + v_off[a] + b
+                    if vertical[index] is None:
+                        vertical[index] = color
+                        continue
+            elif edge == "h" and full:
+                if 1 <= color <= r and 1 <= first <= m and 1 <= a < b <= n:
+                    index = (h_off[a] + b) * m + first - 1
+                    if horizontal[index] is None:
+                        horizontal[index] = color
+                        continue
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        line = raw.strip()
         if len(tokens) != 5 or tokens[0] not in ("v", "h"):
             raise CertificateError(no, f"expected an edge line, got {line!r}")
         try:
@@ -137,7 +161,7 @@ def parse(text: str) -> VerticalColoring | FullGridColoring:
                 raise CertificateError(no, f"duplicate vertical edge: col {first} pair ({a}, {b})")
             vertical[index] = color
         else:
-            if kind != "full":
+            if not full:
                 raise CertificateError(no, "horizontal edge in a vertical certificate")
             if not 1 <= first <= m:
                 raise CertificateError(no, f"row {first} outside [1, {m}]")
@@ -148,6 +172,7 @@ def parse(text: str) -> VerticalColoring | FullGridColoring:
                 raise CertificateError(no, f"duplicate horizontal edge: row {first} pair ({a}, {b})")
             horizontal[index] = color
 
+    # Sparse slots always miss an edge, so past these checks the slots are lists.
     missing = _first_empty(vertical, v_count)
     if missing < v_count:
         col, rank = divmod(missing, pair_count)
@@ -159,11 +184,11 @@ def parse(text: str) -> VerticalColoring | FullGridColoring:
         GridDims(m, n),
         r,
         tuple(
-            ColumnColoring(m, tuple(map(vertical.__getitem__, range(start, start + pair_count))))
+            ColumnColoring(m, tuple(vertical[start : start + pair_count]))
             for start in (col * pair_count for col in range(n))
         ),
     )
-    if kind == "vertical":
+    if not full:
         return chi
 
     missing = _first_empty(horizontal, h_count)
@@ -173,7 +198,7 @@ def parse(text: str) -> VerticalColoring | FullGridColoring:
         raise CertificateError(
             last_line, f"missing horizontal edge: row {row + 1} pair ({i}, {j})"
         )
-    return FullGridColoring(chi, tuple(map(horizontal.__getitem__, range(h_count))))
+    return FullGridColoring(chi, tuple(horizontal))
 
 
 class _SparseSlots(dict):
@@ -184,9 +209,11 @@ class _SparseSlots(dict):
 
 
 def _first_empty(slots: list[int | None] | _SparseSlots, count: int) -> int:
-    """First empty slot below `count`, else `count`; at most filled + 1 steps."""
+    """First empty slot below `count`, else `count`; sparse slots take at most filled + 1 steps."""
+    if isinstance(slots, list):
+        return slots.index(None) if None in slots else count
     index = 0
-    while index < count and slots[index] is not None:
+    while index < count and index in slots:
         index += 1
     return index
 

@@ -93,13 +93,20 @@ def shelah_find_rectangle(full: FullGridColoring) -> Rectangle:
     with m >= r + 1 rows, two of the horizontal edges between those columns
     share a colour.  Both pigeonholes pick the lexicographically first hit.
     Raises PreconditionUnmetError below those sizes (no claim is made there).
+    A column threshold too long to print is stated as a power; no grid held
+    in memory has that many columns.
     """
     m, n, r = full.m, full.n, full.r
     if m < r + 1:
         raise PreconditionUnmetError(f"need m >= r + 1 rows, have m={m}, r={r}")
-    if n < r ** comb(m, 2) + 1:
+    exponent = comb(m, 2)
+    if _power_digits(r, exponent) > MAX_BOUND_DIGITS:
         raise PreconditionUnmetError(
-            f"need n >= r^C(m,2) + 1 = {r ** comb(m, 2) + 1} columns, have n={n}"
+            f"need n >= r^C(m,2) + 1 = {r}^{exponent} + 1 columns, have n={n}"
+        )
+    if n < r**exponent + 1:
+        raise PreconditionUnmetError(
+            f"need n >= r^C(m,2) + 1 = {r**exponent + 1} columns, have n={n}"
         )
 
     positions: dict[tuple[int, ...], list[int]] = {}
@@ -174,12 +181,17 @@ def check_bound_digits(r: int) -> None:
     The digit count C(r+1,2) * log10(r) is estimated before any power is
     computed; beyond MAX_BOUND_DIGITS digits this raises TooLargeError.
     """
-    digits = int(comb(r + 1, 2) * log10(r)) + 1
+    digits = _power_digits(r, comb(r + 1, 2))
     if digits > MAX_BOUND_DIGITS:
         raise TooLargeError(
             f"r={r} gives bounds of about {digits} digits, "
             f"above the {MAX_BOUND_DIGITS}-digit limit"
         )
+
+
+def _power_digits(base: int, exponent: int) -> int:
+    """Decimal digits of base**exponent, estimated without computing the power."""
+    return int(exponent * log10(base)) + 1
 
 
 def theorem_params(r: int, which: str) -> TheoremParams:

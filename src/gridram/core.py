@@ -21,6 +21,9 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
+# bytes.translate table taking the 0/1 bytes of a membership test to ASCII digits.
+_ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
+
 __all__ = [
     "pair_rank",
     "row_pairs",
@@ -57,7 +60,12 @@ def row_pairs(m: int) -> tuple[tuple[int, int], ...]:
 
 
 def iter_bits(mask: int) -> Iterator[int]:
-    """Positions of the set bits of `mask`, ascending."""
+    """Positions of the set bits of `mask`, ascending.
+
+    Each step costs time in proportion to the mask's length, so a walk over
+    a large mask is quadratic; callers holding pair-rank masks of many rows
+    walk them one row run at a time instead (see `AgreementGraph`).
+    """
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -89,7 +97,7 @@ class ColumnColoring:
             raise ValueError(
                 f"expected {expected} colours for m={self.m}, got {len(self.colors)}"
             )
-        if any(c < 1 for c in self.colors):
+        if self.colors and min(self.colors) < 1:
             raise ValueError("colours are 1-based; found a value below 1")
 
     def color(self, a: int, b: int) -> int:
@@ -97,15 +105,18 @@ class ColumnColoring:
 
     @cached_property
     def color_masks(self) -> dict[int, int]:
-        """Bitmask of pair ranks per colour.
+        """Bitmask of pair ranks per colour, keyed in first-use order.
 
         The agreement mask of two columns is the OR over colours of the AND
         of their per-colour masks; this is the innermost comparison of every
-        search, so it stays word-parallel.
+        search, so it stays word-parallel.  Each mask is read in one step
+        from a string of its bits, highest rank first, so building it costs
+        time linear in C(m,2) rather than one big-int OR per rank.
         """
-        masks: dict[int, int] = {}
-        for rank, c in enumerate(self.colors):
-            masks[c] = masks.get(c, 0) | (1 << rank)
+        masks = dict.fromkeys(self.colors, 0)
+        descending = self.colors[::-1]
+        for c in masks:
+            masks[c] = int(bytes(map(c.__eq__, descending)).translate(_ASCII_BITS), 2)
         return masks
 
 
@@ -127,7 +138,7 @@ class VerticalColoring:
         for pos, col in enumerate(self.columns, start=1):
             if col.m != self.dims.m:
                 raise ValueError(f"column {pos} has m={col.m}, expected {self.dims.m}")
-            if any(c > self.r for c in col.colors):
+            if col.colors and max(col.colors) > self.r:
                 raise ValueError(f"column {pos} uses a colour above r={self.r}")
 
     @property
@@ -149,7 +160,8 @@ class VerticalColoring:
         if not 0 <= k <= self.n:
             return False
         return all(
-            all(c == i for c in self.columns[i - 1].colors) for i in range(1, k + 1)
+            col.colors.count(i) == len(col.colors)
+            for i, col in enumerate(self.columns[:k], start=1)
         )
 
     @classmethod
@@ -178,7 +190,7 @@ class FullGridColoring:
             raise ValueError(
                 f"expected {expected} horizontal colours, got {len(self.horizontal)}"
             )
-        if any(not 1 <= c <= self.r for c in self.horizontal):
+        if self.horizontal and not 1 <= min(self.horizontal) <= max(self.horizontal) <= self.r:
             raise ValueError(f"horizontal colour outside [1, {self.r}]")
 
     @property
@@ -217,7 +229,11 @@ class Rectangle:
 class AgreementGraph:
     """Graph on the rows [m] whose edges mark colour agreements of a column pair.
 
-    Edges are held as a single bitmask over pair ranks.
+    Edges are held as a single bitmask over pair ranks.  The pairs (a, b)
+    with b > a hold the contiguous ranks pair_rank(a, a + 1, m) onwards, so
+    one shift and mask per row gives that row's run of later neighbours, a
+    small int of m - a bits; per-edge work only ever touches such a run,
+    never the whole mask.
     """
 
     m: int
@@ -231,8 +247,10 @@ class AgreementGraph:
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        pairs = row_pairs(self.m)
-        return tuple(pairs[rank] for rank in iter_bits(self.mask))
+        adj = self.vertex_adjacency()
+        return tuple(
+            (a, a + 1 + k) for a in range(1, self.m) for k in iter_bits(adj[a - 1] >> a)
+        )
 
     def edge_count(self) -> int:
         return self.mask.bit_count()
@@ -242,12 +260,21 @@ class AgreementGraph:
 
     def vertex_adjacency(self) -> list[int]:
         """Per-vertex neighbour bitmasks over 0-based vertices."""
-        adj = [0] * self.m
-        pairs = row_pairs(self.m)
-        for rank in iter_bits(self.mask):
-            a, b = pairs[rank]
-            adj[a - 1] |= 1 << (b - 1)
-            adj[b - 1] |= 1 << (a - 1)
+        m, mask = self.m, self.mask
+        adj = [0] * m
+        for a in range(1, m):
+            if not mask:
+                break
+            width = m - a
+            run = mask & ((1 << width) - 1)  # bit k: the edge (a, a + 1 + k)
+            mask >>= width
+            if run:
+                adj[a - 1] |= run << a
+                bit = 1 << (a - 1)
+                while run:
+                    low = run & -run
+                    adj[a + low.bit_length() - 1] |= bit
+                    run ^= low
         return adj
 
 

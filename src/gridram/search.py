@@ -23,9 +23,7 @@ and an OR-fold of the r lanes, and the search reads the colouring memo by that
 mask directly.  Only the colouring found is decoded into `ColumnColoring`s.
 The packed form stays private to this module: a `ColumnColoring` with its
 cached `color_masks` costs about 600 B, the table about 48 B per column (50 MB
-at the MAX_COLUMN_SPACE edge of 2^20 columns); and the core keeps its
-per-colour dict because packing the 730-row columns of a refutation bit by bit
-is about three times slower.
+at the MAX_COLUMN_SPACE edge of 2^20 columns).
 """
 
 from __future__ import annotations

@@ -1,10 +1,14 @@
 """Certificate text format: canonical emission, strict parsing, diagnostics."""
 
+import hashlib
 import random
 import tracemalloc
+from math import comb
 
 import pytest
 from helpers import random_full, random_vertical
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridram import CertificateError, FullGridColoring, VerticalColoring
 from gridram import certio
@@ -142,3 +146,95 @@ class TestDiagnostics:
     def test_empty_input(self):
         with pytest.raises(CertificateError):
             certio.parse("")
+
+
+# Tokens that int() reads differently from their canonical decimal form, or
+# rejects, or that change a line's token count.
+_ODD_TOKENS = ("0", "-1", "x", "007", "+2", "\u0662", "2.0", "#", "3 4")
+
+
+def _mutate(text: str, rng: random.Random) -> str:
+    """One random edit: drop, repeat, pad or retoken a line, add noise, or a huge r."""
+    lines = text.splitlines()
+    at = rng.randrange(len(lines))
+    kind = rng.randrange(6)
+    if kind == 0:
+        del lines[at]
+    elif kind == 1:
+        lines.insert(at, lines[at])
+    elif kind == 2:
+        lines.insert(at, rng.choice(("# note", "", "   ", "\t#")))
+    elif kind == 3:
+        sep = rng.choice(("\t", "  ", " \t"))
+        lines[at] = sep + sep.join(lines[at].split(" ")) + rng.choice(("", " ", "\t"))
+    elif kind == 4:
+        tokens = lines[at].split() or [""]
+        tokens[rng.randrange(len(tokens))] = rng.choice(_ODD_TOKENS)
+        lines[at] = " ".join(tokens)
+    else:
+        dims = [i for i, line in enumerate(lines) if line.split()[:1] == ["m"]]
+        if dims:
+            lines[dims[0]] = " ".join(lines[dims[0]].split()[:-1] + ["1000000000000"])
+        else:
+            lines.insert(at, "m 2 n 2 r 1000000000000")
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(text: str) -> str:
+    """The emitted text of a parse, or its diagnostic with the line number."""
+    try:
+        return certio.emit(certio.parse(text))
+    except CertificateError as err:
+        return f"error {err.line}: {err}"
+
+
+def _base_certificate(rng: random.Random) -> str:
+    m, n, r = rng.randint(1, 5), rng.randint(1, 4), rng.randint(1, 3)
+    build = random_full if rng.random() < 0.5 else random_vertical
+    return certio.emit(build(rng, m, n, r))
+
+
+class TestProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_parse_inverts_emit(self, data):
+        m = data.draw(st.integers(1, 7), label="m")
+        n = data.draw(st.integers(1, 5), label="n")
+        r = data.draw(st.integers(1, 4), label="r")
+        colour = st.integers(1, r)
+        columns = data.draw(
+            st.lists(st.lists(colour, min_size=comb(m, 2), max_size=comb(m, 2)),
+                     min_size=n, max_size=n),
+            label="columns",
+        )
+        obj = VerticalColoring.from_columns(m, n, r, columns)
+        if data.draw(st.booleans(), label="full"):
+            size = m * comb(n, 2)
+            horizontal = data.draw(st.lists(colour, min_size=size, max_size=size))
+            obj = FullGridColoring(obj, tuple(horizontal))
+        text = certio.emit(obj)
+        assert certio.parse(text) == obj
+        assert certio.emit(certio.parse(text)) == text
+
+    @settings(max_examples=100, deadline=None)
+    @given(rng=st.randoms(use_true_random=False), edits=st.integers(1, 3))
+    def test_mutated_certificates_fail_only_with_certificate_error(self, rng, edits):
+        text = _base_certificate(rng)
+        for _ in range(edits):
+            text = _mutate(text, rng)
+        _outcome(text)  # any exception other than CertificateError propagates
+
+    def test_mutation_corpus_outcomes_pinned(self):
+        # 500 seeded mutated certificates; the digest was computed before the
+        # one-pass parser replaced the line-list one, so every acceptance and
+        # every diagnostic (message and line) is unchanged
+        rng = random.Random(20261018)
+        digest = hashlib.sha256()
+        for _ in range(500):
+            text = _base_certificate(rng)
+            for _ in range(rng.randint(1, 2)):
+                text = _mutate(text, rng)
+            digest.update(_outcome(text).encode() + b"\0")
+        assert digest.hexdigest() == (
+            "4df103d34a6e4fb4cd7742c1c76686e4de9bb156c8c2797111edc58facb4b36a"
+        )

@@ -218,6 +218,17 @@ def test_shelah_find_precondition_exit_code(capsys, tmp_path):
     assert "m >= r + 1" in err
 
 
+def test_shelah_find_precondition_too_long_to_print(capsys, tmp_path):
+    from helpers import random_full
+
+    path = tmp_path / "tall.txt"
+    path.write_text(certio.emit(random_full(random.Random(197), 200, 3, 3)))
+    code, out, err = run(capsys, "shelah-find", "--input", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "gridram: error: need n >= r^C(m,2) + 1 = 3^19900 + 1 columns, have n=3\n"
+
+
 def test_check_ineq(capsys):
     code, out, _ = run(capsys, "check-ineq", "--r", "4")
     assert code == 0

@@ -84,6 +84,17 @@ class TestShelahFindRectangle:
         with pytest.raises(PreconditionUnmetError):
             shelah_find_rectangle(random_full(rng, 3, 8, 2))  # n < r^3 + 1
 
+    def test_precondition_too_long_to_print_is_stated_as_a_power(self):
+        # 3^C(200,2) + 1 has 9,495 digits, past Python's int-to-str limit
+        rng = random.Random(99)
+        with pytest.raises(PreconditionUnmetError) as err:
+            shelah_find_rectangle(random_full(rng, 200, 3, 3))
+        assert str(err.value) == "need n >= r^C(m,2) + 1 = 3^19900 + 1 columns, have n=3"
+        # a threshold short enough to print is still printed in full
+        with pytest.raises(PreconditionUnmetError) as err:
+            shelah_find_rectangle(random_full(rng, 3, 8, 2))
+        assert str(err.value) == "need n >= r^C(m,2) + 1 = 9 columns, have n=8"
+
 
 class TestShelahRefute:
     def test_one_colour_case(self):

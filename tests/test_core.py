@@ -1,11 +1,14 @@
 """Core data model: pair ranking, agreement graphs, rectangle detection."""
 
 import random
+import time
 from itertools import combinations
 from math import comb
 
 import pytest
 from helpers import random_full, random_vertical
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridram import (
     AgreementGraph,
@@ -119,12 +122,52 @@ class TestAgreementGraph:
         with pytest.raises(ValueError):
             agreement_graph(chi, 1, 4)
 
-    def test_vertex_adjacency_matches_edges(self):
-        g = AgreementGraph(4, 0b010011)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_vertex_adjacency_matches_edges(self, data):
+        # exact equality with the per-edge construction over pair ranks
+        m = data.draw(st.integers(1, 12), label="m")
+        mask = data.draw(st.integers(0, (1 << comb(m, 2)) - 1), label="mask")
+        pairs = [pair for rank, pair in enumerate(combinations(range(1, m + 1), 2)) if mask >> rank & 1]
+        expected = [0] * m
+        for a, b in pairs:
+            expected[a - 1] |= 1 << (b - 1)
+            expected[b - 1] |= 1 << (a - 1)
+        g = AgreementGraph(m, mask)
         adj = g.vertex_adjacency()
-        for a, b in g.edges:
-            assert adj[a - 1] >> (b - 1) & 1
-            assert adj[b - 1] >> (a - 1) & 1
+        assert adj == expected
+        assert g.edges == tuple(pairs)
+        assert all(not adj[v] >> v & 1 for v in range(m))
+        assert all((adj[u] >> v & 1) == (adj[v] >> u & 1) for u in range(m) for v in range(m))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_color_masks_match_the_per_rank_construction(self, data):
+        m = data.draw(st.integers(1, 12), label="m")
+        r = data.draw(st.integers(1, 300), label="r")
+        colors = data.draw(
+            st.lists(st.integers(1, r), min_size=comb(m, 2), max_size=comb(m, 2)), label="colors"
+        )
+        expected: dict[int, int] = {}
+        for rank, c in enumerate(colors):
+            expected[c] = expected.get(c, 0) | 1 << rank
+        masks = ColumnColoring(m, tuple(colors)).color_masks
+        assert masks == expected
+        assert list(masks) == list(expected)
+
+    def test_bit_routines_linear_on_a_dense_730_row_mask(self):
+        # 730 = 3^C(4,2) + 1 rows, the refutation size at r = 3: 266,085 pair ranks
+        m = 730
+        colors = tuple(random.Random(11).choices((1, 2, 3), k=comb(m, 2)))
+        start = time.perf_counter()
+        masks = ColumnColoring(m, colors).color_masks
+        assert time.perf_counter() - start < 1.0
+        dense = AgreementGraph(m, (1 << comb(m, 2)) - 1)
+        start = time.perf_counter()
+        adj = dense.vertex_adjacency()
+        assert time.perf_counter() - start < 1.0
+        assert adj == [((1 << m) - 1) ^ (1 << v) for v in range(m)]
+        assert sum(mask.bit_count() for mask in masks.values()) == comb(m, 2)
 
     def test_stabilised_agreement_is_the_colour_one_class(self):
         # against a constant colour-1 column, agreements are exactly the
