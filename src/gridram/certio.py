@@ -34,30 +34,35 @@ _HEADER = "gridram v1"
 
 
 def emit(obj: VerticalColoring | FullGridColoring) -> str:
-    """Canonical text form; vertical edges column-major, horizontal edges row-major."""
+    """Canonical text form; vertical edges column-major, horizontal edges row-major.
+
+    The "a b " and "i j " fields are formatted once per call, and row a's
+    horizontal colours are read as the slice ``horizontal[a - 1::m]`` (column
+    pairs in rank order), so each edge line costs one string format with no
+    per-edge lookup.  Lines are joined one column or row at a time, so no
+    list of every line is ever held.
+    """
     if isinstance(obj, FullGridColoring):
         vertical, full = obj.vertical, obj
     else:
         vertical, full = obj, None
     m, n, r = vertical.m, vertical.n, vertical.r
-    lines = [
-        _HEADER,
-        f"type {'full' if full is not None else 'vertical'}",
-        f"m {m} n {n} r {r}",
-    ]
-    pairs = row_pairs(m)
-    for col in range(1, n + 1):
-        colors = vertical.column(col).colors
-        lines.extend(
-            f"v {col} {a} {b} {colors[rank]}" for rank, (a, b) in enumerate(pairs)
-        )
+    kind = "full" if full is not None else "vertical"
+    blocks = [f"{_HEADER}\ntype {kind}\nm {m} n {n} r {r}\n"]
+    row_fields = [f"{a} {b} " for a, b in row_pairs(m)]
+    for col, column in enumerate(vertical.columns, start=1):
+        head = f"v {col} "
+        blocks.append("".join([f"{head}{ab}{c}\n" for ab, c in zip(row_fields, column.colors)]))
     if full is not None:
+        col_fields = [f"{i} {j} " for i, j in combinations(range(1, n + 1), 2)]
         for a in range(1, m + 1):
-            lines.extend(
-                f"h {a} {i} {j} {full.horizontal_color(a, i, j)}"
-                for i, j in combinations(range(1, n + 1), 2)
+            head = f"h {a} "
+            blocks.append(
+                "".join(
+                    [f"{head}{ij}{c}\n" for ij, c in zip(col_fields, full.horizontal[a - 1 :: m])]
+                )
             )
-    return "\n".join(lines) + "\n"
+    return "".join(blocks)
 
 
 def parse(text: str) -> VerticalColoring | FullGridColoring:
@@ -180,14 +185,17 @@ def parse(text: str) -> VerticalColoring | FullGridColoring:
         raise CertificateError(
             last_line, f"missing vertical edge: col {col + 1} pair ({a}, {b})"
         )
-    chi = VerticalColoring(
-        GridDims(m, n),
-        r,
+    # With m = 1 every column is the empty colouring of K_1 and the header
+    # alone declares n of them, so all share one object.
+    columns = (
         tuple(
             ColumnColoring(m, tuple(vertical[start : start + pair_count]))
-            for start in (col * pair_count for col in range(n))
-        ),
+            for start in range(0, v_count, pair_count)
+        )
+        if pair_count
+        else (ColumnColoring(m, ()),) * n
     )
+    chi = VerticalColoring(GridDims(m, n), r, columns)
     if not full:
         return chi
 

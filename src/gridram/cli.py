@@ -170,10 +170,10 @@ def _cmd_verify(args) -> int:
             print("valid: no alternating rectangle")
             return 0
         print(f"invalid: {len(verdict.rectangles)} alternating rectangle(s)")
-        for rect in verdict.rectangles:
-            a, b = rect.rows
-            i, j = rect.cols
-            print(f"rect rows=({a},{b}) cols=({i},{j})")
+        sys.stdout.writelines(
+            "rect rows=(%d,%d) cols=(%d,%d)\n" % (*rect.rows, *rect.cols)
+            for rect in verdict.rectangles
+        )
         return 1
     if verdict.ok:
         print("valid: good vertical colouring")

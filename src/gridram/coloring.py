@@ -58,9 +58,6 @@ class ProperColoring:
         """1-based index of the class containing `row`."""
         return self._row_class[row]
 
-    def class_count(self) -> int:
-        return len(self.classes.classes)
-
 
 @dataclass(frozen=True)
 class GoodnessReport:

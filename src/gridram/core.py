@@ -63,8 +63,10 @@ def iter_bits(mask: int) -> Iterator[int]:
     """Positions of the set bits of `mask`, ascending.
 
     Each step costs time in proportion to the mask's length, so a walk over
-    a large mask is quadratic; callers holding pair-rank masks of many rows
-    walk them one row run at a time instead (see `AgreementGraph`).
+    a large mask is quadratic.  It is only called on masks of at most m bits
+    (adjacency rows, in `coloring` and `AgreementGraph.edges`).  Pair-rank
+    masks over many rows are walked one row run at a time instead, by
+    `AgreementGraph.vertex_adjacency` and `enumerate_alternating_rectangles`.
     """
     while mask:
         low = mask & -mask
@@ -351,22 +353,49 @@ def is_alternating(full: FullGridColoring, rect: Rectangle) -> bool:
 def enumerate_alternating_rectangles(full: FullGridColoring) -> list[Rectangle]:
     """All alternating rectangles, sorted lexicographically by (a, b, i, j).
 
-    Column pairs are scanned outermost so each vertical agreement mask is
-    built once; only the agreeing row pairs are tested against the two
-    horizontal edges of the pair.
+    Word-parallel per column pair, over the row-run pair-rank layout of
+    `AgreementGraph`: the mask of row pairs whose two horizontal edges share a
+    colour takes, for each row a, that row's later same-colour rows shifted
+    into the run that starts at pair_rank(a, a + 1, m).  ANDed with the
+    vertical agreement mask it marks exactly the alternating rectangles, and
+    only that result is walked, one row run at a time.  The interpreter steps
+    are linear in the certificate plus the rectangles listed.  Hits are
+    collected as plain ((a, b), (i, j)) tuples, sharing the row pairs of
+    `row_pairs` and one column pair per pair scanned, and sorted before any
+    `Rectangle` is built.
     """
     m, n = full.m, full.n
+    columns, horizontal = full.vertical.columns, full.horizontal
+    # run_start[a - 1] == pair_rank(a, a + 1, m)
+    run_start = [(a - 1) * m - a * (a - 1) // 2 for a in range(1, m)]
     pairs = row_pairs(m)
-    found: list[Rectangle] = []
-    for i, j in combinations(range(1, n + 1), 2):
-        vmask = agreement_mask(full.vertical.column(i), full.vertical.column(j))
+    found: list[tuple[tuple[int, int], tuple[int, int]]] = []
+    base = -m
+    for cols in combinations(range(1, n + 1), 2):
+        i, j = cols
+        base += m  # pairs come in rank order, so this is pair_rank(i, j, n) * m
+        vmask = agreement_mask(columns[i - 1], columns[j - 1])
         if not vmask:
             continue
-        base = pair_rank(i, j, n) * m
-        horiz = full.horizontal[base : base + m]
-        for rank in iter_bits(vmask):
-            a, b = pairs[rank]
-            if horiz[a - 1] == horiz[b - 1]:
-                found.append(Rectangle((a, b), (i, j)))
+        horiz = horizontal[base : base + m]
+        rows_of: dict[int, int] = {}  # colour -> rows using it, bit a - 1 for row a
+        for bit, c in enumerate(horiz):
+            rows_of[c] = rows_of.get(c, 0) | 1 << bit
+        hmask = 0
+        for a, start in enumerate(run_start, start=1):
+            later = rows_of[horiz[a - 1]] >> a  # bit k: row a + 1 + k
+            if later:
+                hmask |= later << start
+        mask = vmask & hmask
+        for a, start in enumerate(run_start, start=1):
+            if not mask:
+                break
+            width = m - a
+            run = mask & ((1 << width) - 1)  # bit k: the pair (a, a + 1 + k) of rank start + k
+            mask >>= width
+            while run:
+                low = run & -run
+                found.append((pairs[start + low.bit_length() - 1], cols))
+                run ^= low
     found.sort()
-    return found
+    return [Rectangle(rows, cols) for rows, cols in found]

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 from math import comb
 
 from gridram import (
     FullGridColoring,
+    Rectangle,
     SetFamily,
     VerticalColoring,
+    is_alternating,
     switch,
 )
 
@@ -27,6 +30,16 @@ def random_full(rng: random.Random, m: int, n: int, r: int) -> FullGridColoring:
     vertical = random_vertical(rng, m, n, r)
     horizontal = tuple(rng.randint(1, r) for _ in range(m * comb(n, 2)))
     return FullGridColoring(vertical, horizontal)
+
+
+def brute_force_rectangles(full: FullGridColoring) -> list[Rectangle]:
+    """Every (a, b, i, j) tested one by one with `is_alternating`, in sorted order."""
+    return [
+        Rectangle((a, b), (i, j))
+        for a, b in combinations(range(1, full.m + 1), 2)
+        for i, j in combinations(range(1, full.n + 1), 2)
+        if is_alternating(full, Rectangle((a, b), (i, j)))
+    ]
 
 
 def random_stabilised(

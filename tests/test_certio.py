@@ -2,7 +2,9 @@
 
 import hashlib
 import random
+import time
 import tracemalloc
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -99,6 +101,22 @@ class TestDiagnostics:
         assert err.value.line == 3
         assert peak < 2 * 2**20
 
+    def test_one_row_header_shares_one_empty_column(self):
+        # m = 1 columns have no edges, so three lines declare n of them and the
+        # result holds n references; a header with n = 10^12 is not refused
+        text = "gridram v1\ntype vertical\nm 1 n 1000000 r 1\n"
+        start = time.perf_counter()
+        chi = certio.parse(text)
+        assert time.perf_counter() - start < 1.0
+        assert chi.n == 1_000_000 and chi.column(1_000_000).colors == ()
+        tracemalloc.start()
+        try:
+            certio.parse(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
     def test_duplicate_edge(self):
         lines = self.valid_text().splitlines()
         dup = next(line for line in lines if line.startswith("h "))
@@ -194,27 +212,57 @@ def _base_certificate(rng: random.Random) -> str:
     return certio.emit(build(rng, m, n, r))
 
 
+def _draw_colouring(data) -> VerticalColoring | FullGridColoring:
+    m = data.draw(st.integers(1, 7), label="m")
+    n = data.draw(st.integers(1, 5), label="n")
+    r = data.draw(st.integers(1, 4), label="r")
+    colour = st.integers(1, r)
+    columns = data.draw(
+        st.lists(st.lists(colour, min_size=comb(m, 2), max_size=comb(m, 2)),
+                 min_size=n, max_size=n),
+        label="columns",
+    )
+    obj = VerticalColoring.from_columns(m, n, r, columns)
+    if data.draw(st.booleans(), label="full"):
+        size = m * comb(n, 2)
+        horizontal = data.draw(st.lists(colour, min_size=size, max_size=size))
+        obj = FullGridColoring(obj, tuple(horizontal))
+    return obj
+
+
+def _reference_emit(obj: VerticalColoring | FullGridColoring) -> str:
+    """The canonical text built one edge at a time through the public lookups."""
+    full = obj if isinstance(obj, FullGridColoring) else None
+    chi = obj.vertical if full is not None else obj
+    lines = [
+        "gridram v1",
+        f"type {'full' if full is not None else 'vertical'}",
+        f"m {chi.m} n {chi.n} r {chi.r}",
+    ]
+    for col in range(1, chi.n + 1):
+        for a, b in combinations(range(1, chi.m + 1), 2):
+            lines.append(f"v {col} {a} {b} {chi.column(col).color(a, b)}")
+    if full is not None:
+        for a in range(1, chi.m + 1):
+            for i, j in combinations(range(1, chi.n + 1), 2):
+                lines.append(f"h {a} {i} {j} {full.horizontal_color(a, i, j)}")
+    return "\n".join(lines) + "\n"
+
+
 class TestProperties:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_parse_inverts_emit(self, data):
-        m = data.draw(st.integers(1, 7), label="m")
-        n = data.draw(st.integers(1, 5), label="n")
-        r = data.draw(st.integers(1, 4), label="r")
-        colour = st.integers(1, r)
-        columns = data.draw(
-            st.lists(st.lists(colour, min_size=comb(m, 2), max_size=comb(m, 2)),
-                     min_size=n, max_size=n),
-            label="columns",
-        )
-        obj = VerticalColoring.from_columns(m, n, r, columns)
-        if data.draw(st.booleans(), label="full"):
-            size = m * comb(n, 2)
-            horizontal = data.draw(st.lists(colour, min_size=size, max_size=size))
-            obj = FullGridColoring(obj, tuple(horizontal))
+        obj = _draw_colouring(data)
         text = certio.emit(obj)
         assert certio.parse(text) == obj
         assert certio.emit(certio.parse(text)) == text
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_emit_equals_the_per_edge_reference(self, data):
+        obj = _draw_colouring(data)
+        assert certio.emit(obj) == _reference_emit(obj)
 
     @settings(max_examples=100, deadline=None)
     @given(rng=st.randoms(use_true_random=False), edits=st.integers(1, 3))

@@ -4,7 +4,9 @@ import random
 from math import comb
 
 import pytest
-from helpers import random_vertical
+from helpers import brute_force_rectangles, random_vertical
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridram import (
     AgreementGraph,
@@ -146,3 +148,28 @@ class TestExtension:
                 graph = agreement_graph(chi, *report.failing_pair)
                 assert chromatic_at_most(graph, chi.r) is None
         assert goods and bads
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_extension_soundness(self, data):
+        # checked per rectangle, independently of the word-parallel scan
+        m = data.draw(st.integers(1, 6), label="m")
+        n = data.draw(st.integers(1, 5), label="n")
+        r = data.draw(st.integers(1, 3), label="r")
+        columns = data.draw(
+            st.lists(
+                st.lists(st.integers(1, r), min_size=comb(m, 2), max_size=comb(m, 2)),
+                min_size=n, max_size=n,
+            ),
+            label="columns",
+        )
+        chi = VerticalColoring.from_columns(m, n, r, columns)
+        report = is_good(chi)
+        if report.good:
+            full = extend_to_full(chi)
+            assert full.vertical == chi
+            assert brute_force_rectangles(full) == []
+        else:
+            with pytest.raises(NotGoodError) as err:
+                extend_to_full(chi)
+            assert err.value.failing_pair == report.failing_pair

@@ -6,7 +6,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from helpers import random_full, random_vertical
+from helpers import brute_force_rectangles, random_full, random_vertical
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +22,7 @@ from gridram import (
     enumerate_alternating_rectangles,
     is_alternating,
     pair_rank,
+    row_index_coloring,
 )
 
 
@@ -236,3 +237,30 @@ class TestRectangles:
         vert = VerticalColoring.from_columns(3, 4, 1, [[1, 1, 1]] * 4)
         full = FullGridColoring(vert, (1,) * (3 * comb(4, 2)))
         assert len(enumerate_alternating_rectangles(full)) == comb(3, 2) * comb(4, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_scan_equals_brute_force(self, data):
+        # small r is drawn often so agreement masks are dense
+        m = data.draw(st.integers(1, 8), label="m")
+        n = data.draw(st.integers(1, 8), label="n")
+        r = data.draw(st.sampled_from((1, 1, 2, 2, 2, 3)), label="r")
+        colour = st.integers(1, r)
+        columns = data.draw(
+            st.lists(st.lists(colour, min_size=comb(m, 2), max_size=comb(m, 2)),
+                     min_size=n, max_size=n),
+            label="columns",
+        )
+        size = m * comb(n, 2)
+        horizontal = data.draw(st.lists(colour, min_size=size, max_size=size))
+        full = FullGridColoring(
+            VerticalColoring.from_columns(m, n, r, columns), tuple(horizontal)
+        )
+        assert enumerate_alternating_rectangles(full) == brute_force_rectangles(full)
+
+    def test_scan_of_the_100_square_row_index_colouring_is_fast(self):
+        # every column pair agrees on all 4,950 row pairs; a per-bit walk takes ~25 s
+        full = row_index_coloring(100, 100)
+        start = time.perf_counter()
+        assert enumerate_alternating_rectangles(full) == []
+        assert time.perf_counter() - start < 2.0
