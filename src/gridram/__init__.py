@@ -24,7 +24,6 @@ from .bounds import (
 )
 from .coloring import (
     GoodnessReport,
-    ProperColoring,
     chromatic_at_most,
     extend_to_full,
     is_good,
@@ -41,7 +40,6 @@ from .core import (
     AgreementGraph,
     ColumnColoring,
     FullGridColoring,
-    GridDims,
     Rectangle,
     RowPartition,
     VerticalColoring,

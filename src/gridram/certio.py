@@ -21,7 +21,6 @@ from pathlib import Path
 from .core import (
     ColumnColoring,
     FullGridColoring,
-    GridDims,
     VerticalColoring,
     pair_rank,
     row_pairs,
@@ -195,7 +194,7 @@ def parse(text: str) -> VerticalColoring | FullGridColoring:
         if pair_count
         else (ColumnColoring(m, ()),) * n
     )
-    chi = VerticalColoring(GridDims(m, n), r, columns)
+    chi = VerticalColoring(m, n, r, columns)
     if not full:
         return chi
 

@@ -10,8 +10,7 @@ agree vertically, so no rectangle can close.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import combinations
 
 from .core import (
@@ -25,7 +24,6 @@ from .core import (
 from .errors import NotGoodError
 
 __all__ = [
-    "ProperColoring",
     "GoodnessReport",
     "chromatic_at_most",
     "cached_chromatic_at_most",
@@ -36,36 +34,11 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ProperColoring:
-    """Witness that a graph is r-colourable: disjoint independent classes covering [m]."""
-
-    m: int
-    classes: RowPartition
-
-    def __post_init__(self) -> None:
-        if self.classes.m != self.m:
-            raise ValueError("partition does not cover the vertex set")
-
-    @cached_property
-    def _row_class(self) -> dict[int, int]:
-        return {
-            row: idx
-            for idx, cls_ in enumerate(self.classes.classes, start=1)
-            for row in cls_
-        }
-
-    def class_of(self, row: int) -> int:
-        """1-based index of the class containing `row`."""
-        return self._row_class[row]
-
-
-@dataclass(frozen=True)
 class GoodnessReport:
     """Outcome of checking every agreement graph of a vertical colouring."""
 
     good: bool
     failing_pair: tuple[int, int] | None
-    witnesses: dict[tuple[int, int], ProperColoring] = field(default_factory=dict)
 
 
 def _greedy_clique(adj: list[int]) -> list[int]:
@@ -74,18 +47,18 @@ def _greedy_clique(adj: list[int]) -> list[int]:
     if m == 0:
         return []
     deg = [a.bit_count() for a in adj]
-    v0 = max(range(m), key=lambda v: (deg[v], -v))
+    v0 = max(range(m), key=deg.__getitem__)
     clique = [v0]
     common = adj[v0]
     while common:
-        u = max(iter_bits(common), key=lambda v: (deg[v], -v))
+        u = max(iter_bits(common), key=deg.__getitem__)
         clique.append(u)
         common &= adj[u]
     return clique
 
 
-def chromatic_at_most(graph: AgreementGraph, r: int) -> ProperColoring | None:
-    """Find a proper colouring of `graph` using at most r classes, or None.
+def chromatic_at_most(graph: AgreementGraph, r: int) -> RowPartition | None:
+    """Partition the rows of `graph` into at most r independent classes, or None.
 
     Backtracking in DSATUR order (most saturated uncoloured vertex first,
     ties to the lowest index), seeded with a greedily grown clique that is
@@ -143,13 +116,13 @@ def chromatic_at_most(graph: AgreementGraph, r: int) -> ProperColoring | None:
     groups: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
         groups.setdefault(c, []).append(v + 1)
-    return ProperColoring(m, RowPartition.from_classes(groups.values()))
+    return RowPartition.from_classes(groups.values())
 
 
-_witness_cache: dict[tuple[int, int], dict[int, ProperColoring | None]] = {}
+_witness_cache: dict[tuple[int, int], dict[int, RowPartition | None]] = {}
 
 
-def witness_table(m: int, r: int) -> dict[int, ProperColoring | None]:
+def witness_table(m: int, r: int) -> dict[int, RowPartition | None]:
     """The memo of `chromatic_at_most` results for m rows and r colours, by edge mask.
 
     Only the most recently requested (m, r) table is kept: asking for another
@@ -164,7 +137,7 @@ def witness_table(m: int, r: int) -> dict[int, ProperColoring | None]:
     return table
 
 
-def cached_chromatic_at_most(graph: AgreementGraph, r: int) -> ProperColoring | None:
+def cached_chromatic_at_most(graph: AgreementGraph, r: int) -> RowPartition | None:
     """`chromatic_at_most` behind the memo of `witness_table`.
 
     Searches meet the same agreement graphs over and over, so each mask is
@@ -183,30 +156,29 @@ def is_good(chi: VerticalColoring) -> GoodnessReport:
     """Check that every column pair's agreement graph is r-colourable.
 
     Pairs are scanned in lexicographic order and the first failure is
-    reported; on success the report holds one witness per pair.
+    reported.  With one row there is no row pair, so every agreement graph
+    is edgeless and the colouring is good without a scan.
     """
-    witnesses: dict[tuple[int, int], ProperColoring] = {}
-    for i, j in combinations(range(1, chi.n + 1), 2):
-        witness = cached_chromatic_at_most(agreement_graph(chi, i, j), chi.r)
-        if witness is None:
-            return GoodnessReport(False, (i, j), witnesses)
-        witnesses[(i, j)] = witness
-    return GoodnessReport(True, None, witnesses)
+    if chi.m > 1:
+        for i, j in combinations(range(1, chi.n + 1), 2):
+            if cached_chromatic_at_most(agreement_graph(chi, i, j), chi.r) is None:
+                return GoodnessReport(False, (i, j))
+    return GoodnessReport(True, None)
 
 
 def extend_to_full(chi: VerticalColoring) -> FullGridColoring:
     """Colour all horizontal edges so that no rectangle alternates.
 
-    Raises NotGoodError (carrying the failing column pair) when some
-    agreement graph is not r-colourable; otherwise the result has zero
-    alternating rectangles by construction.
+    Row a's edge between columns i and j takes the label of a's class in the
+    pair's witness partition.  Raises NotGoodError at the first column pair,
+    in lexicographic order, whose agreement graph is not r-colourable (the
+    pair `is_good` reports); otherwise the result has zero alternating
+    rectangles by construction.
     """
-    report = is_good(chi)
-    if not report.good:
-        assert report.failing_pair is not None
-        raise NotGoodError(report.failing_pair)
     horizontal: list[int] = []
     for i, j in combinations(range(1, chi.n + 1), 2):
-        witness = report.witnesses[(i, j)]
-        horizontal.extend(witness.class_of(a) for a in range(1, chi.m + 1))
+        witness = cached_chromatic_at_most(agreement_graph(chi, i, j), chi.r)
+        if witness is None:
+            raise NotGoodError((i, j))
+        horizontal.extend(witness.labels)
     return FullGridColoring(chi, tuple(horizontal))

@@ -17,7 +17,6 @@ from .core import (
     AgreementGraph,
     ColumnColoring,
     FullGridColoring,
-    GridDims,
     Rectangle,
     VerticalColoring,
     agreement_graph,
@@ -81,7 +80,7 @@ def row_index_coloring(m: int, n: int) -> FullGridColoring:
     if m > n:
         raise ValueError(f"requires m <= n (got {m} > {n}); transpose the grid first")
     column = ColumnColoring(m, (1,) * comb(m, 2))
-    vertical = VerticalColoring(GridDims(m, n), m, (column,) * n)
+    vertical = VerticalColoring(m, n, m, (column,) * n)
     horizontal = tuple(a for _ in range(comb(n, 2)) for a in range(1, m + 1))
     return FullGridColoring(vertical, horizontal)
 

@@ -28,7 +28,6 @@ __all__ = [
     "pair_rank",
     "row_pairs",
     "iter_bits",
-    "GridDims",
     "ColumnColoring",
     "VerticalColoring",
     "FullGridColoring",
@@ -75,18 +74,6 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 
 @dataclass(frozen=True)
-class GridDims:
-    """Grid side lengths: m rows (vertical cliques K_m) by n columns (horizontal cliques K_n)."""
-
-    m: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.m < 1 or self.n < 1:
-            raise ValueError(f"grid dimensions must be positive, got {self.m}x{self.n}")
-
-
-@dataclass(frozen=True)
 class ColumnColoring:
     """A complete edge-colouring of K_m: one colour per row pair, in rank order."""
 
@@ -124,32 +111,25 @@ class ColumnColoring:
 
 @dataclass(frozen=True)
 class VerticalColoring:
-    """One K_m edge-colouring per column, all using colours from [1, r]."""
+    """One K_m edge-colouring per column of an m x n grid, all using colours from [1, r]."""
 
-    dims: GridDims
+    m: int
+    n: int
     r: int
     columns: tuple[ColumnColoring, ...]
 
     def __post_init__(self) -> None:
+        if self.m < 1 or self.n < 1:
+            raise ValueError(f"grid dimensions must be positive, got {self.m}x{self.n}")
         if self.r < 1:
             raise ValueError("colour count r must be at least 1")
-        if len(self.columns) != self.dims.n:
-            raise ValueError(
-                f"expected {self.dims.n} columns, got {len(self.columns)}"
-            )
+        if len(self.columns) != self.n:
+            raise ValueError(f"expected {self.n} columns, got {len(self.columns)}")
         for pos, col in enumerate(self.columns, start=1):
-            if col.m != self.dims.m:
-                raise ValueError(f"column {pos} has m={col.m}, expected {self.dims.m}")
+            if col.m != self.m:
+                raise ValueError(f"column {pos} has m={col.m}, expected {self.m}")
             if col.colors and max(col.colors) > self.r:
                 raise ValueError(f"column {pos} uses a colour above r={self.r}")
-
-    @property
-    def m(self) -> int:
-        return self.dims.m
-
-    @property
-    def n(self) -> int:
-        return self.dims.n
 
     def column(self, i: int) -> ColumnColoring:
         """1-based column access."""
@@ -172,7 +152,7 @@ class VerticalColoring:
     ) -> "VerticalColoring":
         """Build from per-column colour sequences in pair-rank order."""
         cols = tuple(ColumnColoring(m, tuple(colors)) for colors in column_colors)
-        return cls(GridDims(m, n), r, cols)
+        return cls(m, n, r, cols)
 
 
 @dataclass(frozen=True)
@@ -311,6 +291,15 @@ class RowPartition:
     @property
     def m(self) -> int:
         return max(cls_[-1] for cls_ in self.classes)
+
+    @cached_property
+    def labels(self) -> tuple[int, ...]:
+        """1-based index of each row's class, row a at position a - 1."""
+        labels = [0] * self.m
+        for idx, cls_ in enumerate(self.classes, start=1):
+            for row in cls_:
+                labels[row - 1] = idx
+        return tuple(labels)
 
     @classmethod
     def from_classes(cls, groups: Iterable[Iterable[int]]) -> "RowPartition":

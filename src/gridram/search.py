@@ -47,7 +47,6 @@ from .core import (
     AgreementGraph,
     ColumnColoring,
     FullGridColoring,
-    GridDims,
     Rectangle,
     VerticalColoring,
     enumerate_alternating_rectangles,
@@ -119,23 +118,23 @@ def _naive_layout(m: int, n: int):
     """
     v_index: dict[tuple[int, int], int] = {}
     h_index: dict[tuple[int, int, int], int] = {}
-    order: list[tuple] = []
+    edges = 0
     for j in range(1, n + 1):
         for rank in range(comb(m, 2)):
-            v_index[(j, rank)] = len(order)
-            order.append(("v", j, rank))
+            v_index[(j, rank)] = edges
+            edges += 1
         for i in range(1, j):
             for a in range(1, m + 1):
-                h_index[(i, j, a)] = len(order)
-                order.append(("h", i, j, a))
-    completions: list[list[tuple[int, int, int]]] = [[] for _ in order]
+                h_index[(i, j, a)] = edges
+                edges += 1
+    completions: list[list[tuple[int, int, int]]] = [[] for _ in range(edges)]
     for i, j in combinations(range(1, n + 1), 2):
         for a, b in row_pairs(m):
             rank = pair_rank(a, b, m)
             completions[h_index[(i, j, b)]].append(
                 (v_index[(i, rank)], v_index[(j, rank)], h_index[(i, j, a)])
             )
-    return order, completions, v_index, h_index
+    return completions, v_index, h_index
 
 
 def _naive_decision(
@@ -182,10 +181,10 @@ def g_exact_naive(m: int, n: int, r_cap: int | None = None) -> SearchResult:
         raise ValueError("r_cap must be at least 1")
 
     start = perf_counter()
-    order, completions, v_index, h_index = _naive_layout(m, n)
+    completions, v_index, h_index = _naive_layout(m, n)
     nodes = [0]
     for r in range(1, r_cap + 1):
-        solution = _naive_decision(len(order), completions, r, nodes)
+        solution = _naive_decision(edge_count, completions, r, nodes)
         if solution is None:
             continue
         columns = tuple(
@@ -199,7 +198,7 @@ def g_exact_naive(m: int, n: int, r_cap: int | None = None) -> SearchResult:
             for a in range(1, m + 1):
                 horizontal[pair_rank(i, j, n) * m + (a - 1)] = solution[h_index[(i, j, a)]]
         certificate = FullGridColoring(
-            VerticalColoring(GridDims(m, n), r, columns), tuple(horizontal)
+            VerticalColoring(m, n, r, columns), tuple(horizontal)
         )
         return SearchResult(r, certificate, SearchStats(nodes[0], perf_counter() - start))
     return SearchResult(None, None, SearchStats(nodes[0], perf_counter() - start))
@@ -252,9 +251,8 @@ def _vertical_decision(
     The budget applies per column-2 subtree; a tripped budget raises
     TooLargeError.
     """
-    dims = GridDims(m, n)
     if n == 1:
-        return VerticalColoring(dims, r, (_decode_column(m, r, 0),)), 0
+        return VerticalColoring(m, n, r, (_decode_column(m, r, 0),)), 0
     pair_count = comb(m, 2)
     packed, need, top = _candidate_table(pair_count, r)
     size = len(packed)
@@ -307,7 +305,7 @@ def _vertical_decision(
         total_nodes += nodes
         if result is not None:
             columns = tuple(_decode_column(m, r, index) for index in result)
-            return VerticalColoring(dims, r, columns), total_nodes
+            return VerticalColoring(m, n, r, columns), total_nodes
     return None, total_nodes
 
 

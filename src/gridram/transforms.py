@@ -22,7 +22,6 @@ from .coloring import cached_chromatic_at_most
 from .core import (
     AgreementGraph,
     ColumnColoring,
-    GridDims,
     RowPartition,
     VerticalColoring,
     pair_rank,
@@ -95,7 +94,7 @@ def _switch_at(chi: VerticalColoring, swaps: list[tuple[int, int, int]]) -> Vert
             elif colors[rank] == c_tilde:
                 colors[rank] = c
         columns.append(ColumnColoring(chi.m, tuple(colors)))
-    return VerticalColoring(chi.dims, chi.r, tuple(columns))
+    return VerticalColoring(chi.m, chi.n, chi.r, tuple(columns))
 
 
 def _make_constant(
@@ -133,12 +132,8 @@ def common_refinement(parts: Sequence[RowPartition]) -> RowPartition:
     m = parts[0].m
     if any(p.m != m for p in parts):
         raise ValueError("partitions cover different ground sets")
-    index_maps = []
-    for p in parts:
-        index_maps.append({row: idx for idx, cls_ in enumerate(p.classes) for row in cls_})
     groups: dict[tuple[int, ...], list[int]] = {}
-    for row in range(1, m + 1):
-        key = tuple(index_map[row] for index_map in index_maps)
+    for row, key in enumerate(zip(*(p.labels for p in parts)), start=1):
         groups.setdefault(key, []).append(row)
     return RowPartition.from_classes(groups.values())
 
@@ -155,7 +150,7 @@ def refined_partition(chi: VerticalColoring, j: int, k: int) -> RowPartition:
         witness = cached_chromatic_at_most(AgreementGraph(chi.m, mask), chi.r)
         if witness is None:
             raise NotColorableError(i, against=j)
-        parts.append(witness.classes)
+        parts.append(witness)
     return common_refinement(parts)
 
 
@@ -174,7 +169,7 @@ def restrict_rows(chi: VerticalColoring, rows: Iterable[int]) -> VerticalColorin
         )
         for col in chi.columns
     )
-    return VerticalColoring(GridDims(new_m, chi.n), chi.r, columns)
+    return VerticalColoring(new_m, chi.n, chi.r, columns)
 
 
 def stabilise_step(chi: VerticalColoring, k: int) -> StabiliseStep:

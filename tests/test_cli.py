@@ -3,6 +3,7 @@
 import hashlib
 import io
 import random
+import time
 
 import pytest
 from helpers import random_stabilised
@@ -142,6 +143,17 @@ def test_extend_rejects_not_good(capsys, tmp_path):
     code, _, err = run(capsys, "extend", "--input", str(path))
     assert code == 1
     assert "(1, 2)" in err
+
+
+def test_verify_one_row_wide_header_is_immediate(capsys, tmp_path):
+    # one row has no row pair, so all C(3000, 2) agreement graphs are edgeless
+    path = tmp_path / "vert.txt"
+    path.write_text("gridram v1\ntype vertical\nm 1 n 3000 r 1\n")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", "--input", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert out == "valid: good vertical colouring\n"
 
 
 def test_stabilise_first_logs_switches(capsys, tmp_path):

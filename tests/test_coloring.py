@@ -29,7 +29,7 @@ def graph_from_edges(m, edges) -> AgreementGraph:
 
 
 def assert_valid_witness(graph, witness, r):
-    classes = witness.classes.classes
+    classes = witness.classes
     assert len(classes) <= r
     members = [row for cls_ in classes for row in cls_]
     assert sorted(members) == list(range(1, graph.m + 1))
@@ -43,7 +43,7 @@ class TestChromaticAtMost:
     def test_empty_graph_single_class(self):
         witness = chromatic_at_most(AgreementGraph(5, 0), 1)
         assert witness is not None
-        assert witness.classes.classes == ((1, 2, 3, 4, 5),)
+        assert witness.classes == ((1, 2, 3, 4, 5),)
 
     def test_triangle_needs_three(self):
         k3 = graph_from_edges(3, [(1, 2), (1, 3), (2, 3)])
@@ -89,7 +89,6 @@ class TestIsGood:
         chi = VerticalColoring.from_columns(4, 2, 2, [[1] * 6, [2] * 6])
         report = is_good(chi)
         assert report.good and report.failing_pair is None
-        assert set(report.witnesses) == {(1, 2)}
 
     def test_identical_columns_fail_above_r_rows(self):
         # agreement graph is K_{r+1}, not r-colourable

@@ -14,7 +14,6 @@ from gridram import (
     AgreementGraph,
     ColumnColoring,
     FullGridColoring,
-    GridDims,
     Rectangle,
     RowPartition,
     VerticalColoring,
@@ -55,7 +54,7 @@ class TestPairRank:
 class TestTypes:
     def test_dims_must_be_positive(self):
         with pytest.raises(ValueError):
-            GridDims(0, 3)
+            VerticalColoring(0, 3, 1, (ColumnColoring(0, ()),) * 3)
 
     def test_column_length_checked(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Switching, stabilisation steps, restriction, refinement."""
 
 import random
+from itertools import combinations
 from math import ceil, comb
 
 import pytest
@@ -12,6 +13,7 @@ from gridram import (
     NotColorableError,
     RowPartition,
     VerticalColoring,
+    agreement_graph,
     common_refinement,
     is_good,
     pair_rank,
@@ -57,6 +59,26 @@ class TestSwitch:
                 edge = tuple(sorted(rng.sample(range(1, m + 1), 2)))
                 chi = switch(chi, edge, rng.randint(1, 2), rng.randint(1, 2))
             assert is_good(chi).good == before
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_switches_keep_every_agreement_graph(self, data):
+        m = data.draw(st.integers(2, 6), label="m")
+        n = data.draw(st.integers(2, 4), label="n")
+        r = data.draw(st.integers(1, 3), label="r")
+        column = st.lists(st.integers(1, r), min_size=comb(m, 2), max_size=comb(m, 2))
+        columns = data.draw(st.lists(column, min_size=n, max_size=n), label="columns")
+        chi = VerticalColoring.from_columns(m, n, r, columns)
+        switched = chi
+        for _ in range(data.draw(st.integers(1, 5), label="switches")):
+            a = data.draw(st.integers(1, m - 1), label="a")
+            b = data.draw(st.integers(a + 1, m), label="b")
+            c = data.draw(st.integers(1, r), label="c")
+            c_tilde = data.draw(st.integers(1, r), label="c_tilde")
+            switched = switch(switched, (a, b), c, c_tilde)
+        for i, j in combinations(range(1, n + 1), 2):
+            assert agreement_graph(switched, i, j).mask == agreement_graph(chi, i, j).mask
+        assert is_good(switched) == is_good(chi)
 
 
 class TestStabiliseFirst:
