@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, product
 from math import comb
 
 from gridram import (
@@ -40,6 +41,25 @@ def brute_force_rectangles(full: FullGridColoring) -> list[Rectangle]:
         for i, j in combinations(range(1, full.n + 1), 2)
         if is_alternating(full, Rectangle((a, b), (i, j)))
     ]
+
+
+@lru_cache(maxsize=None)
+def _monochromatic_masks(m: int, r: int) -> tuple[int, ...]:
+    """For each map of rows to [1, r], the bits (lexicographic pair index) of its monochromatic row pairs."""
+    pairs = list(combinations(range(m), 2))
+    return tuple(
+        sum(1 << k for k, (a, b) in enumerate(pairs) if labels[a] == labels[b])
+        for labels in product(range(r), repeat=m)
+    )
+
+
+def brute_force_colourable(m: int, mask: int, r: int) -> bool:
+    """Whether some map of the m rows to [1, r] leaves no edge of `mask` monochromatic.
+
+    Bit k of `mask` is the k-th row pair (a, b), a < b, in lexicographic
+    order.  Every one of the r^m maps is tried.
+    """
+    return any(not mono & mask for mono in _monochromatic_masks(m, r))
 
 
 def random_stabilised(

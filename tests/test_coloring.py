@@ -1,10 +1,11 @@
 """Exact colouring, goodness, and the extension equivalence."""
 
+import hashlib
 import random
 from math import comb
 
 import pytest
-from helpers import brute_force_rectangles, random_vertical
+from helpers import brute_force_colourable, brute_force_rectangles, random_vertical
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -82,6 +83,34 @@ class TestChromaticAtMost:
     def test_deterministic(self):
         graph = graph_from_edges(6, [(1, 2), (2, 3), (4, 5), (5, 6), (1, 6)])
         assert chromatic_at_most(graph, 3) == chromatic_at_most(graph, 3)
+
+    def test_witnesses_pinned(self):
+        # certificates are built from these exact partitions, so any change
+        # to the search order shows here
+        digest = hashlib.sha256()
+        for m, r in ((6, 2), (5, 3), (5, 4)):
+            for mask in range(1 << comb(m, 2)):
+                digest.update(repr(chromatic_at_most(AgreementGraph(m, mask), r)).encode())
+        rng = random.Random(2024)
+        for _ in range(500):
+            m = rng.randint(1, 40)
+            r = rng.randint(1, 9)
+            mask = rng.getrandbits(comb(m, 2))
+            for _ in range(rng.randint(0, 3)):
+                mask &= rng.getrandbits(comb(m, 2))
+            digest.update(repr(chromatic_at_most(AgreementGraph(m, mask), r)).encode())
+        assert (
+            digest.hexdigest()
+            == "476a5ea5593b86a25b0f6caff20db95e1663069d6b49a043547b8f30d9159ebe"
+        )
+
+    def test_decisions_match_brute_force(self):
+        for m in range(1, 6):
+            for mask in range(1 << comb(m, 2)):
+                graph = AgreementGraph(m, mask)
+                for r in (2, 3):
+                    witness = chromatic_at_most(graph, r)
+                    assert (witness is not None) == brute_force_colourable(m, mask, r)
 
 
 class TestIsGood:
