@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .core import (
     AgreementGraph,
@@ -19,7 +20,6 @@ from .core import (
     RowPartition,
     VerticalColoring,
     agreement_graph,
-    iter_bits,
 )
 from .errors import NotGoodError
 
@@ -41,85 +41,119 @@ class GoodnessReport:
     failing_pair: tuple[int, int] | None
 
 
-def _greedy_clique(adj: list[int]) -> list[int]:
-    """Grow a clique greedily by degree (ties to the lowest vertex index)."""
-    m = len(adj)
-    if m == 0:
-        return []
-    deg = [a.bit_count() for a in adj]
-    v0 = max(range(m), key=deg.__getitem__)
-    clique = [v0]
-    common = adj[v0]
-    while common:
-        u = max(iter_bits(common), key=deg.__getitem__)
-        clique.append(u)
-        common &= adj[u]
-    return clique
-
-
 def chromatic_at_most(graph: AgreementGraph, r: int) -> RowPartition | None:
     """Partition the rows of `graph` into at most r independent classes, or None.
 
-    Backtracking in DSATUR order (most saturated uncoloured vertex first,
-    ties to the lowest index), seeded with a greedily grown clique that is
-    pre-assigned distinct colours.  A vertex may only open colour t+1 once
-    colours 1..t are in use, which kills colour-permutation symmetry and
-    makes the witness deterministic for a fixed input.
+    A clique is grown greedily by degree (ties to the lowest vertex index)
+    and its vertices take colours 1, 2, ... in turn; the answer is None as
+    soon as it has r + 1 vertices.  Backtracking then goes in DSATUR order:
+    the uncoloured vertices sit in one bitmask per saturation level (the
+    number of distinct colours among coloured neighbours), so the pick, the
+    most saturated vertex with ties to the lowest index, is the lowest bit
+    of the highest non-empty level.  Giving a vertex colour c moves each
+    uncoloured neighbour with no neighbour yet coloured c up one level;
+    undoing moves it back.  A vertex may only open colour t+1 once colours
+    1..t are in use, which kills colour-permutation symmetry and makes the
+    witness deterministic for a fixed input.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
     m = graph.m
     adj = graph.vertex_adjacency()
 
-    clique = _greedy_clique(adj)
-    if len(clique) > r:
-        return None
+    deg = list(map(int.bit_count, adj))
+    v = deg.index(max(deg))
+    clique = [v]
+    common = adj[v]
+    while common:
+        if len(clique) == r:
+            return None
+        best = -1
+        rest = common
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            if deg[u] > best:
+                best, v = deg[u], u
+            rest ^= low
+        clique.append(v)
+        common &= adj[v]
 
     colors = [0] * m
-    nbr_colors = [0] * m  # colours already present among each vertex's neighbours
-    for idx, v in enumerate(clique):
-        colors[v] = idx + 1
-        bit = 1 << idx
-        for u in iter_bits(adj[v]):
-            nbr_colors[u] |= bit
+    near = [0] * (r + 1)  # near[c]: vertices with a neighbour coloured c
+    levels = [0] * (r + 1)  # levels[s]: uncoloured vertices of saturation s
+    uncolored = (1 << m) - 1
+    for c, v in enumerate(clique, start=1):
+        colors[v] = c
+        near[c] = adj[v]
+        uncolored ^= 1 << v
+    levels[0] = uncolored
+    for c in range(1, len(clique) + 1):
+        _raise_level(levels, near[c] & uncolored)
 
-    def solve(colored: int, max_used: int) -> bool:
-        if colored == m:
+    def solve(uncolored: int, used: int) -> bool:
+        if not uncolored:
             return True
-        v = -1
-        best_sat = -1
-        for u in range(m):
-            if colors[u] == 0:
-                sat = nbr_colors[u].bit_count()
-                if sat > best_sat:
-                    v, best_sat = u, sat
-        forbidden = nbr_colors[v]
-        for c in range(1, min(max_used + 1, r) + 1):
-            bit = 1 << (c - 1)
-            if forbidden & bit:
+        s = r
+        while not levels[s]:
+            s -= 1
+        level = levels[s]
+        bit = level & -level
+        v = bit.bit_length() - 1
+        levels[s] = level ^ bit
+        rest = uncolored ^ bit
+        nbrs = adj[v]
+        waiting = nbrs & rest
+        for c in range(1, min(used + 1, r) + 1):
+            seen = near[c]
+            if seen & bit:
                 continue
             colors[v] = c
-            changed = []
-            for u in iter_bits(adj[v]):
-                if colors[u] == 0 and not nbr_colors[u] & bit:
-                    nbr_colors[u] |= bit
-                    changed.append(u)
-            if solve(colored + 1, max(max_used, c)):
+            moved = waiting & ~seen
+            near[c] = seen | nbrs
+            _raise_level(levels, moved)
+            if solve(rest, c if c > used else used):
                 return True
-            colors[v] = 0
-            for u in changed:
-                nbr_colors[u] ^= bit
+            _lower_level(levels, moved)
+            near[c] = seen
+        levels[s] |= bit
         return False
 
-    if not solve(len(clique), len(clique)):
+    if not solve(uncolored, len(clique)):
         return None
     groups: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        groups.setdefault(c, []).append(v + 1)
-    return RowPartition.from_classes(groups.values())
+    for row, c in enumerate(colors, start=1):
+        groups.setdefault(c, []).append(row)
+    # rows are visited in order, so the groups come out in first-row order
+    return RowPartition(tuple(map(tuple, groups.values())))
+
+
+def _raise_level(levels: list[int], moved: int) -> None:
+    """Move each vertex of `moved` up one saturation level."""
+    s = len(levels) - 2
+    while moved:
+        here = levels[s] & moved
+        if here:
+            levels[s] ^= here
+            levels[s + 1] |= here
+            moved ^= here
+        s -= 1
+
+
+def _lower_level(levels: list[int], moved: int) -> None:
+    """Undo `_raise_level`: move each vertex of `moved` down one level."""
+    s = 1
+    while moved:
+        here = levels[s] & moved
+        if here:
+            levels[s] ^= here
+            levels[s - 1] |= here
+            moved ^= here
+        s += 1
 
 
 _witness_cache: dict[tuple[int, int], dict[int, RowPartition | None]] = {}
+_UNSEEN = object()  # memo miss marker: None is a stored answer
 
 
 def witness_table(m: int, r: int) -> dict[int, RowPartition | None]:
@@ -144,11 +178,9 @@ def cached_chromatic_at_most(graph: AgreementGraph, r: int) -> RowPartition | No
     solved once per table.
     """
     table = witness_table(graph.m, r)
-    try:
-        return table[graph.mask]
-    except KeyError:
-        pass
-    witness = table[graph.mask] = chromatic_at_most(graph, r)
+    witness = table.get(graph.mask, _UNSEEN)
+    if witness is _UNSEEN:
+        witness = table[graph.mask] = chromatic_at_most(graph, r)
     return witness
 
 
@@ -173,8 +205,11 @@ def extend_to_full(chi: VerticalColoring) -> FullGridColoring:
     pair's witness partition.  Raises NotGoodError at the first column pair,
     in lexicographic order, whose agreement graph is not r-colourable (the
     pair `is_good` reports); otherwise the result has zero alternating
-    rectangles by construction.
+    rectangles by construction.  With one row every agreement graph is
+    edgeless and every label is 1, so no pair is looked at.
     """
+    if chi.m == 1:
+        return FullGridColoring(chi, (1,) * comb(chi.n, 2))
     horizontal: list[int] = []
     for i, j in combinations(range(1, chi.n + 1), 2):
         witness = cached_chromatic_at_most(agreement_graph(chi, i, j), chi.r)

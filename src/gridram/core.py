@@ -63,7 +63,7 @@ def iter_bits(mask: int) -> Iterator[int]:
 
     Each step costs time in proportion to the mask's length, so a walk over
     a large mask is quadratic.  It is only called on masks of at most m bits
-    (adjacency rows, in `coloring` and `AgreementGraph.edges`).  Pair-rank
+    (adjacency rows, in `AgreementGraph.edges`).  Pair-rank
     masks over many rows are walked one row run at a time instead, by
     `AgreementGraph.vertex_adjacency` and `enumerate_alternating_rectangles`.
     """

@@ -37,6 +37,7 @@ from time import perf_counter
 
 from . import certio
 from .coloring import (
+    _UNSEEN,
     GoodnessReport,
     cached_chromatic_at_most,
     extend_to_full,
@@ -74,7 +75,6 @@ MAX_VERTICAL_COLUMNS = 16
 # r = 1 passes the column-space guard at any m, so rows need a bound of their own.
 MAX_VERTICAL_ROWS = 64
 DEFAULT_NODE_BUDGET = 2_000_000
-_UNSEEN = object()
 
 
 @dataclass(frozen=True)

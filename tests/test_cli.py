@@ -156,6 +156,18 @@ def test_verify_one_row_wide_header_is_immediate(capsys, tmp_path):
     assert out == "valid: good vertical colouring\n"
 
 
+def test_extend_one_row_wide_header_is_quick(capsys, tmp_path):
+    # every horizontal edge takes label 1; stdout as the per-pair extension wrote it
+    path = tmp_path / "vert.txt"
+    path.write_text("gridram v1\ntype vertical\nm 1 n 1000 r 1\n")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "extend", "--input", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "4d7fd522cbf73de364cca899ded8e86be8d7e3192feba5863aa7d792797435ca"
+
+
 def test_stabilise_first_logs_switches(capsys, tmp_path):
     chi = VerticalColoring.from_columns(2, 2, 2, [[2], [1]])
     path = tmp_path / "vert.txt"
