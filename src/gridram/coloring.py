@@ -79,6 +79,9 @@ def chromatic_at_most(graph: AgreementGraph, r: int) -> RowPartition | None:
         clique.append(v)
         common &= adj[v]
 
+    # m rows never use more than m colours nor reach saturation m, so a
+    # header's r beyond m changes no answer and must not size the levels
+    r = min(r, m)
     colors = [0] * m
     near = [0] * (r + 1)  # near[c]: vertices with a neighbour coloured c
     levels = [0] * (r + 1)  # levels[s]: uncoloured vertices of saturation s

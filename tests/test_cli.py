@@ -8,7 +8,7 @@ import time
 import pytest
 from helpers import random_stabilised
 
-from gridram import VerticalColoring, certio
+from gridram import VerticalColoring, certio, coloring
 from gridram.cli import main
 
 
@@ -156,16 +156,29 @@ def test_verify_one_row_wide_header_is_immediate(capsys, tmp_path):
     assert out == "valid: good vertical colouring\n"
 
 
-def test_extend_one_row_wide_header_is_quick(capsys, tmp_path):
+def test_extend_one_row_wide_header_skips_the_oracle(capsys, monkeypatch, tmp_path):
     # every horizontal edge takes label 1; stdout as the per-pair extension wrote it
+    def no_lookup(graph, r):
+        raise AssertionError("one row needs no per-pair colouring")
+
+    monkeypatch.setattr(coloring, "cached_chromatic_at_most", no_lookup)
     path = tmp_path / "vert.txt"
     path.write_text("gridram v1\ntype vertical\nm 1 n 1000 r 1\n")
-    start = time.perf_counter()
     code, out, _ = run(capsys, "extend", "--input", str(path))
-    assert time.perf_counter() - start < 1.0
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == "4d7fd522cbf73de364cca899ded8e86be8d7e3192feba5863aa7d792797435ca"
+
+
+def test_huge_header_r_is_capped_at_m(capsys, tmp_path):
+    # two rows never need more than two colours, whatever r the header declares
+    head = "gridram v1\ntype {}\nm 2 n 2 r 1000000000000\nv 1 1 2 1\nv 2 1 2 1\n"
+    path = tmp_path / "vert.txt"
+    path.write_text(head.format("vertical"))
+    code, out, _ = run(capsys, "verify", "--input", str(path))
+    assert (code, out) == (0, "valid: good vertical colouring\n")
+    code, out, _ = run(capsys, "extend", "--input", str(path))
+    assert (code, out) == (0, head.format("full") + "h 1 1 2 1\nh 2 1 2 2\n")
 
 
 def test_stabilise_first_logs_switches(capsys, tmp_path):
