@@ -46,6 +46,19 @@ class TestRowIndexColoring:
             row_index_coloring(3, 2)
 
 
+def _first_twins(full):
+    """The lexicographically first identical column pair, then the first pair of
+    rows whose horizontal edges between those columns share a colour; a plain
+    loop over the stored colours, independent of gridram."""
+    m, n = full.m, full.n
+    cols = [col.colors for col in full.vertical.columns]
+    i, j = next((i, j) for i in range(n) for j in range(i + 1, n) if cols[i] == cols[j])
+    base = [(p, q) for p in range(n) for q in range(p + 1, n)].index((i, j)) * m
+    row = full.horizontal[base : base + m]
+    a, b = next((a, b) for a in range(m) for b in range(a + 1, m) if row[a] == row[b])
+    return (a + 1, b + 1), (i + 1, j + 1)
+
+
 class TestShelahFindRectangle:
     def test_one_colour_two_by_two(self):
         vert = VerticalColoring.from_columns(2, 2, 1, [[1], [1]])
@@ -75,7 +88,9 @@ class TestShelahFindRectangle:
         rng = random.Random(89)
         for _ in range(500):
             full = random_full(rng, 3, 9, 2)
-            assert is_alternating(full, shelah_find_rectangle(full))
+            rect = shelah_find_rectangle(full)
+            assert is_alternating(full, rect)
+            assert (rect.rows, rect.cols) == _first_twins(full)
 
     def test_precondition_unmet(self):
         rng = random.Random(97)

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from math import comb
 from time import perf_counter
 
 import pytest
@@ -18,6 +19,7 @@ from gridram import (
     verify_text,
 )
 from gridram import certio, coloring
+from gridram.search import MAX_NAIVE_EDGES
 
 CELLS = [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)] + [(2, 4), (2, 5)]
 
@@ -72,6 +74,24 @@ class TestOracles:
     def test_naive_guard(self):
         with pytest.raises(TooLargeError):
             g_exact_naive(3, 4)  # 30 edges
+
+    def test_naive_traversal_pinned(self):
+        # value, node count and certificate of every grid inside the naive
+        # envelope, at the default colour cap and at r_cap = 1, as one digest
+        cells = [
+            (m, n)
+            for m in range(1, MAX_NAIVE_EDGES + 1)
+            for n in range(1, MAX_NAIVE_EDGES + 1)
+            if m * comb(n, 2) + n * comb(m, 2) <= MAX_NAIVE_EDGES
+        ]
+        assert len(cells) == 21
+        digest = hashlib.sha256()
+        for m, n in cells:
+            for r_cap in (None, 1):
+                result = g_exact_naive(m, n, r_cap)
+                cert = certio.emit(result.certificate) if result.certificate else ""
+                digest.update(f"{m} {n} {r_cap} {result.value} {result.stats.nodes}\n{cert}".encode())
+        assert digest.hexdigest() == "1630817a5da2090573722a3c765e01df0d094f30819f9049c52b753d21decd27"
 
     def test_vertical_guard(self):
         with pytest.raises(TooLargeError):
