@@ -25,11 +25,13 @@ from .core import (
     pair_rank,
     row_pairs,
 )
-from .errors import CertificateError
+from .errors import CertificateError, TooLargeError
 
 __all__ = ["emit", "parse", "load", "save"]
 
 _HEADER = "gridram v1"
+# Columns a header may declare: three m = 1 lines declare n columns, one reference each.
+MAX_COLUMNS = 1 << 20
 
 
 def emit(obj: VerticalColoring | FullGridColoring) -> str:
@@ -103,6 +105,8 @@ def parse(text: str) -> VerticalColoring | FullGridColoring:
         raise CertificateError(no, f"non-integer dimension in {line!r}") from None
     if m < 1 or n < 1 or r < 1:
         raise CertificateError(no, f"dimensions must be positive, got m={m} n={n} r={r}")
+    if n > MAX_COLUMNS:
+        raise TooLargeError(f"n={n} columns exceed the certificate limit ({MAX_COLUMNS})")
 
     # Colours by dense edge index: vertical (col - 1) * C(m,2) + pair_rank(a, b, m),
     # horizontal pair_rank(i, j, n) * m + (row - 1).  The slots are lists when

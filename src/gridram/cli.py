@@ -24,16 +24,7 @@ from .constructions import (
     theorem_params,
 )
 from .core import FullGridColoring, VerticalColoring
-from .errors import (
-    CertificateError,
-    FisherHypothesisError,
-    GridRamError,
-    InternalContradictionError,
-    NotColorableError,
-    NotGoodError,
-    PreconditionUnmetError,
-    TooLargeError,
-)
+from .errors import GridRamError, TooLargeError
 from .search import G_exact, g_exact_naive, g_exact_vertical, verify_text
 from .transforms import SwitchRecord, stabilise_first, stabilise_step
 
@@ -55,8 +46,6 @@ def _fmt(value: object) -> str:
 
 
 def _print_records(rows: list[dict[str, object]], fmt: str) -> None:
-    if not rows:
-        return
     if fmt == "tsv":
         print("\t".join(rows[0].keys()))
         for row in rows:
@@ -79,17 +68,12 @@ def _write_output(text: str, path: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _read_vertical(path: str) -> VerticalColoring:
+def _read_certificate(path: str, kind: str) -> VerticalColoring | FullGridColoring:
+    """The certificate at `path`, which must be of `kind` ('vertical' or 'full')."""
     obj = certio.parse(_read_input(path))
-    if not isinstance(obj, VerticalColoring):
-        raise ValueError("expected a vertical certificate, got a full one")
-    return obj
-
-
-def _read_full(path: str) -> FullGridColoring:
-    obj = certio.parse(_read_input(path))
-    if not isinstance(obj, FullGridColoring):
-        raise ValueError("expected a full certificate, got a vertical one")
+    got = "full" if isinstance(obj, FullGridColoring) else "vertical"
+    if got != kind:
+        raise ValueError(f"expected a {kind} certificate, got a {got} one")
     return obj
 
 
@@ -120,28 +104,17 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_search_g(args) -> int:
-    naive = vertical = None
-    if args.oracle in ("naive", "both"):
-        naive = g_exact_naive(args.m, args.n, args.r_cap)
-    if args.oracle in ("vertical", "both"):
-        vertical = g_exact_vertical(args.m, args.n, args.r_cap)
-
+    # read at call time, so a rebinding of either module name is honoured
+    oracles = {"naive": g_exact_naive, "vertical": g_exact_vertical}
+    names = list(oracles) if args.oracle == "both" else [args.oracle]
+    results = [oracles[name](args.m, args.n, args.r_cap) for name in names]
+    result = results[-1]
+    agree = all(other.value == result.value for other in results)
+    fields: dict[str, object] = {"g": result.value if result.value is not None else "none"}
     if args.oracle == "both":
-        assert naive is not None and vertical is not None
-        agree = naive.value == vertical.value
-        result = vertical
-        fields: dict[str, object] = {
-            "g": result.value if result.value is not None else "none",
-            "oracles_agree": agree,
-        }
+        fields["oracles_agree"] = agree
     else:
-        result = naive if naive is not None else vertical
-        assert result is not None
-        agree = True
-        fields = {
-            "g": result.value if result.value is not None else "none",
-            "oracle": args.oracle,
-        }
+        fields["oracle"] = args.oracle
     if args.emit:
         if result.certificate is None:
             raise ValueError("no certificate found within the colour cap")
@@ -156,10 +129,8 @@ def _cmd_search_g(args) -> int:
 
 def _cmd_search_G(args) -> int:
     value = G_exact(args.r, args.n_cap)
-    if value is None:
-        _print_records([{"G": "none", "n_cap": args.n_cap}], args.format)
-    else:
-        _print_records([{"G": value}], args.format)
+    fields = {"G": value} if value is not None else {"G": "none", "n_cap": args.n_cap}
+    _print_records([fields], args.format)
     return 0
 
 
@@ -185,13 +156,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_extend(args) -> int:
-    full = extend_to_full(_read_vertical(args.input))
+    full = extend_to_full(_read_certificate(args.input, "vertical"))
     _write_output(certio.emit(full), args.output)
     return 0
 
 
 def _cmd_stabilise(args) -> int:
-    chi = _read_vertical(args.input)
+    chi = _read_certificate(args.input, "vertical")
     if args.step is None:
         log: list[SwitchRecord] = []
         result = stabilise_first(chi, log)
@@ -209,7 +180,7 @@ def _cmd_stabilise(args) -> int:
 
 
 def _cmd_refute(args) -> int:
-    witness = shelah_refute(_read_vertical(args.input))
+    witness = shelah_refute(_read_certificate(args.input, "vertical"))
     if args.log_switches:
         _write_switch_log(list(witness.switches), args.log_switches)
     _print_records(
@@ -227,7 +198,7 @@ def _cmd_refute(args) -> int:
 
 
 def _cmd_shelah_find(args) -> int:
-    rect = shelah_find_rectangle(_read_full(args.input))
+    rect = shelah_find_rectangle(_read_certificate(args.input, "full"))
     _print_records(
         [{"a": rect.rows[0], "b": rect.rows[1], "i": rect.cols[0], "j": rect.cols[1]}],
         args.format,
@@ -239,22 +210,17 @@ def _cmd_check_ineq(args) -> int:
     if args.r is not None:
         r_values = [args.r]
     elif args.r_max is not None:
+        if args.r_max < 2:
+            raise ValueError("r_max must be at least 2")
         r_values = list(range(2, args.r_max + 1))
     else:
         raise ValueError("provide --r or --r-max")
+    shown = ("lhs_m", "lhs_m_plus_1", "margin_m", "margin_m_plus_1")
     rows = []
     for r in r_values:
         report = diag_inequality_check(r)
-        rows.append(
-            {
-                "r": r,
-                "satisfied": report.satisfied,
-                "lhs_m": report.values["lhs_m"],
-                "lhs_m_plus_1": report.values["lhs_m_plus_1"],
-                "margin_m": report.values["margin_m"],
-                "margin_m_plus_1": report.values["margin_m_plus_1"],
-            }
-        )
+        values = {key: report.values[key] for key in shown}
+        rows.append({"r": r, "satisfied": report.satisfied, **values})
     _print_records(rows, args.format)
     return 0
 
@@ -355,17 +321,7 @@ def main(argv: list[str] | None = None) -> int:
     except TooLargeError as err:
         print(f"gridram: too large: {err}", file=sys.stderr)
         return 2
-    except (
-        CertificateError,
-        NotGoodError,
-        NotColorableError,
-        PreconditionUnmetError,
-        FisherHypothesisError,
-        InternalContradictionError,
-        GridRamError,
-        ValueError,
-        OSError,
-    ) as err:
+    except (GridRamError, ValueError, OSError) as err:
         print(f"gridram: error: {err}", file=sys.stderr)
         return 1
 

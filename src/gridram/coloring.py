@@ -21,7 +21,7 @@ from .core import (
     VerticalColoring,
     agreement_graph,
 )
-from .errors import NotGoodError
+from .errors import NotGoodError, TooLargeError
 
 __all__ = [
     "GoodnessReport",
@@ -155,6 +155,10 @@ def _lower_level(levels: list[int], moved: int) -> None:
         s += 1
 
 
+# The most horizontal edges extend_to_full writes; `gridram extend` of a
+# one-row certificate of this size peaks near 190 MB.
+MAX_EXTENSION_EDGES = 1 << 20
+
 _witness_cache: dict[tuple[int, int], dict[int, RowPartition | None]] = {}
 _UNSEEN = object()  # memo miss marker: None is a stored answer
 
@@ -209,10 +213,16 @@ def extend_to_full(chi: VerticalColoring) -> FullGridColoring:
     in lexicographic order, whose agreement graph is not r-colourable (the
     pair `is_good` reports); otherwise the result has zero alternating
     rectangles by construction.  With one row every agreement graph is
-    edgeless and every label is 1, so no pair is looked at.
+    edgeless and every label is 1, so no pair is looked at.  More than
+    MAX_EXTENSION_EDGES horizontal edges raise TooLargeError before any work.
     """
+    edges = chi.m * comb(chi.n, 2)
+    if edges > MAX_EXTENSION_EDGES:
+        raise TooLargeError(
+            f"{edges} horizontal edges exceed the extension limit ({MAX_EXTENSION_EDGES})"
+        )
     if chi.m == 1:
-        return FullGridColoring(chi, (1,) * comb(chi.n, 2))
+        return FullGridColoring(chi, (1,) * edges)
     horizontal: list[int] = []
     for i, j in combinations(range(1, chi.n + 1), 2):
         witness = cached_chromatic_at_most(agreement_graph(chi, i, j), chi.r)

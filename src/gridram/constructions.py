@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, log10
+from typing import Hashable, Sequence
 
 from .core import (
     AgreementGraph,
@@ -20,6 +21,7 @@ from .core import (
     Rectangle,
     VerticalColoring,
     agreement_graph,
+    pair_rank,
 )
 from .errors import (
     InternalContradictionError,
@@ -108,25 +110,24 @@ def shelah_find_rectangle(full: FullGridColoring) -> Rectangle:
             f"need n >= r^C(m,2) + 1 = {r**exponent + 1} columns, have n={n}"
         )
 
-    positions: dict[tuple[int, ...], list[int]] = {}
-    for idx, col in enumerate(full.vertical.columns, start=1):
-        positions.setdefault(col.colors, []).append(idx)
-    pair = None
-    for i in range(1, n + 1):
-        twins = positions[full.vertical.columns[i - 1].colors]
-        laters = [j for j in twins if j > i]
-        if laters:
-            pair = (i, laters[0])
-            break
-    if pair is None:
+    cols = _first_twins([col.colors for col in full.vertical.columns])
+    if cols is None:
         raise InternalContradictionError("no identical column pair despite the pigeonhole")
-    i, j = pair
+    i, j = cols[0] + 1, cols[1] + 1
+    base = pair_rank(i, j, n) * m
+    rows = _first_twins(full.horizontal[base : base + m])
+    if rows is None:
+        raise InternalContradictionError("no repeated horizontal colour despite m > r")
+    return Rectangle((rows[0] + 1, rows[1] + 1), (i, j))
 
-    for a in range(1, m + 1):
-        for b in range(a + 1, m + 1):
-            if full.horizontal_color(a, i, j) == full.horizontal_color(b, i, j):
-                return Rectangle((a, b), (i, j))
-    raise InternalContradictionError("no repeated horizontal colour despite m > r")
+
+def _first_twins(values: Sequence[Hashable]) -> tuple[int, int] | None:
+    """The lexicographically first 0-based positions i < j holding equal values, or None."""
+    groups: dict[Hashable, list[int]] = {}
+    for pos, value in enumerate(values):
+        groups.setdefault(value, []).append(pos)
+    twins = [(group[0], group[1]) for group in groups.values() if len(group) > 1]
+    return min(twins, default=None)
 
 
 def shelah_refute(chi: VerticalColoring) -> RefutationWitness:

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 # bytes.translate table taking the 0/1 bytes of a membership test to ASCII digits.
 _ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -27,7 +27,6 @@ _ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
 __all__ = [
     "pair_rank",
     "row_pairs",
-    "iter_bits",
     "ColumnColoring",
     "VerticalColoring",
     "FullGridColoring",
@@ -58,19 +57,27 @@ def row_pairs(m: int) -> tuple[tuple[int, int], ...]:
     return tuple(combinations(range(1, m + 1), 2))
 
 
-def iter_bits(mask: int) -> Iterator[int]:
-    """Positions of the set bits of `mask`, ascending.
+def _mask_pairs(m: int, mask: int) -> list[tuple[int, int]]:
+    """The row pairs set in a pair-rank mask, in rank order, as `row_pairs(m)` tuples.
 
-    Each step costs time in proportion to the mask's length, so a walk over
-    a large mask is quadratic.  It is only called on masks of at most m bits
-    (adjacency rows, in `AgreementGraph.edges`).  Pair-rank
-    masks over many rows are walked one row run at a time instead, by
-    `AgreementGraph.vertex_adjacency` and `enumerate_alternating_rectangles`.
+    The pairs (a, b) with b > a hold the contiguous ranks pair_rank(a, a + 1, m)
+    onwards, so the mask is walked one row run of m - a bits at a time; no
+    step touches the whole mask, which would make a long walk quadratic.
     """
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    pairs = row_pairs(m)
+    found = []
+    start = 0
+    for width in range(m - 1, 0, -1):
+        if not mask:
+            break
+        run = mask & ((1 << width) - 1)  # bit k: the pair of rank start + k
+        mask >>= width
+        while run:
+            low = run & -run
+            found.append(pairs[start + low.bit_length() - 1])
+            run ^= low
+        start += width
+    return found
 
 
 @dataclass(frozen=True)
@@ -229,10 +236,7 @@ class AgreementGraph:
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        adj = self.vertex_adjacency()
-        return tuple(
-            (a, a + 1 + k) for a in range(1, self.m) for k in iter_bits(adj[a - 1] >> a)
-        )
+        return tuple(_mask_pairs(self.m, self.mask))
 
     def edge_count(self) -> int:
         return self.mask.bit_count()
@@ -347,17 +351,16 @@ def enumerate_alternating_rectangles(full: FullGridColoring) -> list[Rectangle]:
     colour takes, for each row a, that row's later same-colour rows shifted
     into the run that starts at pair_rank(a, a + 1, m).  ANDed with the
     vertical agreement mask it marks exactly the alternating rectangles, and
-    only that result is walked, one row run at a time.  The interpreter steps
-    are linear in the certificate plus the rectangles listed.  Hits are
-    collected as plain ((a, b), (i, j)) tuples, sharing the row pairs of
-    `row_pairs` and one column pair per pair scanned, and sorted before any
-    `Rectangle` is built.
+    only that result is walked, by `_mask_pairs`.  The interpreter steps are
+    linear in the certificate plus the rectangles listed.  Hits are collected
+    as plain ((a, b), (i, j)) tuples, sharing the row pairs of `row_pairs` and
+    one column pair per pair scanned, and sorted before any `Rectangle` is
+    built.
     """
     m, n = full.m, full.n
     columns, horizontal = full.vertical.columns, full.horizontal
     # run_start[a - 1] == pair_rank(a, a + 1, m)
     run_start = [(a - 1) * m - a * (a - 1) // 2 for a in range(1, m)]
-    pairs = row_pairs(m)
     found: list[tuple[tuple[int, int], tuple[int, int]]] = []
     base = -m
     for cols in combinations(range(1, n + 1), 2):
@@ -376,15 +379,7 @@ def enumerate_alternating_rectangles(full: FullGridColoring) -> list[Rectangle]:
             if later:
                 hmask |= later << start
         mask = vmask & hmask
-        for a, start in enumerate(run_start, start=1):
-            if not mask:
-                break
-            width = m - a
-            run = mask & ((1 << width) - 1)  # bit k: the pair (a, a + 1 + k) of rank start + k
-            mask >>= width
-            while run:
-                low = run & -run
-                found.append((pairs[start + low.bit_length() - 1], cols))
-                run ^= low
+        if mask:
+            found.extend(zip(_mask_pairs(m, mask), repeat(cols)))
     found.sort()
     return [Rectangle(rows, cols) for rows, cols in found]

@@ -2,11 +2,15 @@
 
 The naive oracle enumerates full colourings edge by edge in colour-canonical
 order (a new colour may only be the next unused one), pruning the moment a
-placed edge closes an alternating rectangle.  The vertical oracle never looks
-at a horizontal edge: it searches 1-stabilised vertical colourings column by
-column, requiring every pairwise agreement graph to stay r-colourable, and
-extends a hit to a full certificate.  Beyond the shared data model the two
-have no common code, which is what makes their agreement evidence.
+placed edge closes an alternating rectangle.  It colours certificate slots,
+the edge indices of `certio.parse` and `FullGridColoring` (vertical edges
+column by column, then horizontal edges by column pair and row; see
+`_naive_layout`), so a solution slices straight into a certificate.  The
+vertical oracle never looks at a horizontal edge: it searches 1-stabilised
+vertical colourings column by column, requiring every pairwise agreement
+graph to stay r-colourable, and extends a hit to a full certificate.  Beyond
+the shared data model the two have no common code, which is what makes their
+agreement evidence.
 
 Symmetry breaking in the vertical oracle: column 1 is pinned to the constant
 colouring (always reachable by switching), columns 2..n are required to be
@@ -107,55 +111,55 @@ class Verdict:
 # ---------------------------------------------------------------------------
 
 
-def _naive_layout(m: int, n: int):
-    """Edge order and rectangle-completion table for the naive enumeration.
+def _naive_layout(m: int, n: int) -> tuple[list[int], list[list[tuple[int, int, int]]]]:
+    """Search order and rectangle-completion table of the naive enumeration, by slot.
 
-    Edges are grouped by column: the vertical edges of column j, then the
+    Slots are certificate indices: the vertical edge of rank k in column j is
+    slot (j - 1) * C(m,2) + k, the horizontal edge of row a between columns
+    i < j is slot n * C(m,2) + pair_rank(i, j, n) * m + (a - 1).  The order
+    groups edges by column: the vertical edges of column j, then the
     horizontal edges between i and j for every i < j.  A rectangle on rows
     (a, b) and columns (i, j) is then completed exactly when the horizontal
-    edge of row b between i and j is placed, so each edge carries the list of
-    (vertical, vertical, horizontal) indices it may close a rectangle with.
+    edge of row b between i and j is placed, so that slot carries the
+    (vertical, vertical, horizontal) slots it may close a rectangle with.
     """
-    v_index: dict[tuple[int, int], int] = {}
-    h_index: dict[tuple[int, int, int], int] = {}
-    edges = 0
+    pairs = comb(m, 2)
+    h_base = [n * pairs + rank * m for rank in range(comb(n, 2))]
+    order: list[int] = []
     for j in range(1, n + 1):
-        for rank in range(comb(m, 2)):
-            v_index[(j, rank)] = edges
-            edges += 1
+        order.extend(range((j - 1) * pairs, j * pairs))
         for i in range(1, j):
-            for a in range(1, m + 1):
-                h_index[(i, j, a)] = edges
-                edges += 1
-    completions: list[list[tuple[int, int, int]]] = [[] for _ in range(edges)]
-    for i, j in combinations(range(1, n + 1), 2):
-        for a, b in row_pairs(m):
-            rank = pair_rank(a, b, m)
-            completions[h_index[(i, j, b)]].append(
-                (v_index[(i, rank)], v_index[(j, rank)], h_index[(i, j, a)])
+            start = h_base[pair_rank(i, j, n)]
+            order.extend(range(start, start + m))
+    completions: list[list[tuple[int, int, int]]] = [[] for _ in order]
+    for (i, j), start in zip(combinations(range(1, n + 1), 2), h_base):
+        for rank, (a, b) in enumerate(row_pairs(m)):
+            completions[start + b - 1].append(
+                ((i - 1) * pairs + rank, (j - 1) * pairs + rank, start + a - 1)
             )
-    return completions, v_index, h_index
+    return order, completions
 
 
 def _naive_decision(
-    edge_count: int, completions: list[list[tuple[int, int, int]]], r: int, nodes: list[int]
+    order: list[int], completions: list[list[tuple[int, int, int]]], r: int, nodes: list[int]
 ) -> list[int] | None:
-    """First rectangle-free colour assignment in canonical order, or None."""
-    colors = [0] * edge_count
+    """First rectangle-free colouring of the slots, placed in `order`, or None."""
+    colors = [0] * len(order)
 
     def place(t: int, used: int) -> bool:
-        if t == edge_count:
+        if t == len(order):
             return True
+        slot = order[t]
         for c in range(1, min(used + 1, r) + 1):
             nodes[0] += 1
-            colors[t] = c
-            for v1, v2, h1 in completions[t]:
+            colors[slot] = c
+            for v1, v2, h1 in completions[slot]:
                 if colors[v1] == colors[v2] and colors[h1] == c:
                     break
             else:
                 if place(t + 1, max(used, c)):
                     return True
-        colors[t] = 0
+        colors[slot] = 0
         return False
 
     return list(colors) if place(0, 0) else None
@@ -181,25 +185,17 @@ def g_exact_naive(m: int, n: int, r_cap: int | None = None) -> SearchResult:
         raise ValueError("r_cap must be at least 1")
 
     start = perf_counter()
-    completions, v_index, h_index = _naive_layout(m, n)
+    order, completions = _naive_layout(m, n)
+    pairs = comb(m, 2)
     nodes = [0]
     for r in range(1, r_cap + 1):
-        solution = _naive_decision(edge_count, completions, r, nodes)
+        solution = _naive_decision(order, completions, r, nodes)
         if solution is None:
             continue
-        columns = tuple(
-            ColumnColoring(
-                m, tuple(solution[v_index[(j, rank)]] for rank in range(comb(m, 2)))
-            )
-            for j in range(1, n + 1)
+        vertical = VerticalColoring.from_columns(
+            m, n, r, [solution[j * pairs : (j + 1) * pairs] for j in range(n)]
         )
-        horizontal = [0] * (m * comb(n, 2))
-        for i, j in combinations(range(1, n + 1), 2):
-            for a in range(1, m + 1):
-                horizontal[pair_rank(i, j, n) * m + (a - 1)] = solution[h_index[(i, j, a)]]
-        certificate = FullGridColoring(
-            VerticalColoring(m, n, r, columns), tuple(horizontal)
-        )
+        certificate = FullGridColoring(vertical, tuple(solution[n * pairs :]))
         return SearchResult(r, certificate, SearchStats(nodes[0], perf_counter() - start))
     return SearchResult(None, None, SearchStats(nodes[0], perf_counter() - start))
 

@@ -12,7 +12,7 @@ from helpers import random_full, random_vertical
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridram import CertificateError, FullGridColoring, VerticalColoring
+from gridram import CertificateError, FullGridColoring, TooLargeError, VerticalColoring
 from gridram import certio
 
 
@@ -103,7 +103,7 @@ class TestDiagnostics:
 
     def test_one_row_header_shares_one_empty_column(self):
         # m = 1 columns have no edges, so three lines declare n of them and the
-        # result holds n references; a header with n = 10^12 is not refused
+        # result holds n references; n above certio.MAX_COLUMNS is refused
         text = "gridram v1\ntype vertical\nm 1 n 1000000 r 1\n"
         start = time.perf_counter()
         chi = certio.parse(text)
@@ -116,6 +116,12 @@ class TestDiagnostics:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_column_limit(self):
+        head = "gridram v1\ntype vertical\nm 1 n {} r 1\n"
+        assert certio.parse(head.format(certio.MAX_COLUMNS)).n == certio.MAX_COLUMNS
+        with pytest.raises(TooLargeError, match="certificate limit"):
+            certio.parse(head.format(certio.MAX_COLUMNS + 1))
 
     def test_duplicate_edge(self):
         lines = self.valid_text().splitlines()

@@ -170,6 +170,25 @@ def test_extend_one_row_wide_header_skips_the_oracle(capsys, monkeypatch, tmp_pa
     assert digest == "4d7fd522cbf73de364cca899ded8e86be8d7e3192feba5863aa7d792797435ca"
 
 
+@pytest.mark.parametrize(
+    "command, n, message",
+    [
+        ("verify", 10**12, "n=1000000000000 columns exceed the certificate limit"),
+        ("extend", 100_000, "4999950000 horizontal edges exceed the extension limit"),
+    ],
+)
+def test_one_row_header_no_consumer_can_hold_is_refused(capsys, tmp_path, command, n, message):
+    # the shared n-column tuple (parse) and the C(n, 2) labels (extend) are
+    # refused before they are allocated
+    path = tmp_path / "vert.txt"
+    path.write_text(f"gridram v1\ntype vertical\nm 1 n {n} r 1\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "--input", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith(f"gridram: too large: {message}")
+
+
 def test_huge_header_r_is_capped_at_m(capsys, tmp_path):
     # two rows never need more than two colours, whatever r the header declares
     head = "gridram v1\ntype {}\nm 2 n 2 r 1000000000000\nv 1 1 2 1\nv 2 1 2 1\n"
@@ -281,6 +300,13 @@ def test_check_ineq_range_tsv(capsys):
     assert code == 0
     assert lines[0].startswith("r\tsatisfied")
     assert len(lines) == 3
+
+
+def test_check_ineq_range_below_two_is_refused(capsys):
+    # the same refusal as `bounds --r-max 1`, not an empty table
+    for command in ("check-ineq", "bounds"):
+        code, out, err = run(capsys, command, "--r-max", "1")
+        assert (code, out, err) == (1, "", "gridram: error: r_max must be at least 2\n")
 
 
 def test_too_large_exit_code(capsys):

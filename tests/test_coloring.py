@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from gridram import (
     AgreementGraph,
     NotGoodError,
+    TooLargeError,
     VerticalColoring,
     agreement_graph,
     chromatic_at_most,
@@ -20,6 +21,7 @@ from gridram import (
     is_good,
     pair_rank,
 )
+from gridram.coloring import MAX_EXTENSION_EDGES
 
 
 def graph_from_edges(m, edges) -> AgreementGraph:
@@ -158,6 +160,14 @@ class TestExtension:
         with pytest.raises(NotGoodError) as err:
             extend_to_full(chi)
         assert err.value.failing_pair == (1, 2)
+
+    def test_extension_size_limit(self):
+        # 1448 columns give C(1448, 2) = 1,047,628 edges, 1449 give 1,049,076
+        assert comb(1448, 2) <= MAX_EXTENSION_EDGES < comb(1449, 2)
+        full = extend_to_full(VerticalColoring.from_columns(1, 1448, 1, [[]] * 1448))
+        assert len(full.horizontal) == comb(1448, 2)
+        with pytest.raises(TooLargeError, match="extension limit"):
+            extend_to_full(VerticalColoring.from_columns(1, 1449, 1, [[]] * 1449))
 
     def test_extension_equivalence_on_random_colourings(self):
         # extendible exactly when good; extensions never alternate
