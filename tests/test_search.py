@@ -120,6 +120,49 @@ class TestOracles:
         assert result.stats.nodes == nodes
         assert hashlib.sha256(certio.emit(result.certificate).encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "m, n, r_cap, value, nodes, digest, solves",
+        [
+            (4, 9, 2, None, 94807, None, 65),
+            (5, 7, 2, 2, 320557, "fafdd890f2e99fef575e769c3f3caf6708f480dde271226035ad62dfe29bb8f2", 1025),
+            (6, 5, None, 2, 108525, "2bff1fe1fb54443ceced96575077c10405dfd5bbc3c66eebbe00f1e08099f4cf", 32769),
+            (6, 2, None, 2, 1025, "cae6b7595081687290f0a74ec278275c33189db22d2ec9cc6a3f5e2c6dbf67b1", 1025),
+            (5, 3, None, 2, 463, "45bc8c865d89a760549c83468bef824c7196d4188162e627b4fa1f47ff495699", 464),
+        ],
+    )
+    def test_vertical_traversal_and_solves_pinned(
+        self, monkeypatch, m, n, r_cap, value, nodes, digest, solves
+    ):
+        # the solve count pins which agreement graphs the search tests: 6x2 and
+        # 5x3 find a colouring early, so testing candidates ahead of the
+        # traversal would solve masks it never reaches
+        calls = []
+        solve = coloring.chromatic_at_most
+
+        def counting(graph, r):
+            calls.append(graph.mask)
+            return solve(graph, r)
+
+        monkeypatch.setattr(coloring, "_witness_cache", {})
+        monkeypatch.setattr(coloring, "chromatic_at_most", counting)
+        result = g_exact_vertical(m, n, r_cap)
+        assert result.value == value
+        assert result.stats.nodes == nodes
+        if digest is None:
+            assert result.certificate is None
+        else:
+            emitted = certio.emit(result.certificate).encode()
+            assert hashlib.sha256(emitted).hexdigest() == digest
+        assert len(calls) == solves
+
+    @pytest.mark.parametrize("m, n, value, boundary", [(6, 6, 2, 77962), (4, 9, 3, 15646)])
+    def test_vertical_node_budget_boundary(self, m, n, value, boundary):
+        # the budget holds per column-2 subtree; `boundary` is the largest
+        # subtree's node count, so one node less trips and the budget itself answers
+        with pytest.raises(TooLargeError, match=rf"node budget \({boundary - 1}\) at r=2"):
+            g_exact_vertical(m, n, node_budget=boundary - 1)
+        assert g_exact_vertical(m, n, node_budget=boundary).value == value
+
     def test_vertical_tall_columns_at_one_colour(self):
         # r = 1 passes the column-space guard at any m, so a column of 1,035
         # row pairs must not recurse once per pair
