@@ -87,6 +87,8 @@ def _write_switch_log(records: list[SwitchRecord], path: str) -> None:
 
 def _cmd_bounds(args) -> int:
     if args.r_max is not None:
+        if args.r is not None or args.which is not None:
+            raise ValueError("--r-max cannot be combined with --r or --which")
         rows = [
             {**report.parameters, **report.values, "diag_ineq_ok": report.satisfied}
             for report in bound_table(args.r_max)
@@ -296,8 +298,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_shelah_find)
 
     p = sub.add_parser("check-ineq", help="exact final-inequality check")
-    p.add_argument("--r", type=int)
-    p.add_argument("--r-max", type=int, dest="r_max")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--r", type=int)
+    group.add_argument("--r-max", type=int, dest="r_max")
     _add_format(p)
     p.set_defaults(func=_cmd_check_ineq)
 

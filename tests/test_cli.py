@@ -309,6 +309,30 @@ def test_check_ineq_range_below_two_is_refused(capsys):
         assert (code, out, err) == (1, "", "gridram: error: r_max must be at least 2\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("check-ineq", "--r", "3", "--r-max", "4"),
+            "gridram check-ineq: error: argument --r-max: not allowed with argument --r",
+        ),
+        (
+            ("bounds", "--r", "2", "--which", "shelah", "--r-max", "2"),
+            "gridram: error: --r-max cannot be combined with --r or --which",
+        ),
+        (
+            ("bounds", "--which", "shelah", "--r-max", "2"),
+            "gridram: error: --r-max cannot be combined with --r or --which",
+        ),
+    ],
+)
+def test_single_value_and_range_flags_are_refused_together(capsys, argv, message):
+    # neither flag may silently win over the other
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == message
+
+
 def test_too_large_exit_code(capsys):
     code, _, err = run(capsys, "search-g", "--m", "9", "--n", "9", "--oracle", "naive")
     assert code == 2
