@@ -41,7 +41,7 @@ from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, combinations, tee
-from math import comb
+from math import comb, inf
 from pathlib import Path
 from time import perf_counter
 
@@ -256,11 +256,12 @@ def _vertical_decision(
     child that picks k narrows the rest of that stream, from k on, against
     its one new column.  So every candidate is tested once against each new
     column, never again against the columns its ancestors tested it with.
-    The streams are lazy, pulled only as far as the search goes, and a
-    node's stream is shared with its later siblings through `tee`: a search
-    that finds a colouring early tests only what it reached (g(6,2) solves
-    1,025 masks; narrowing each child's stream in full on entry solves
-    32,769).
+    The streams are lazy: an index is tested only once some node reads that
+    far.  A stream is read through `tee` copies of one buffer, by its node
+    and by each child that narrows it, so what one child pulled is not
+    tested again for its later siblings.  Laziness matters when a colouring
+    turns up early: g(6,2) solves 1,025 masks, where narrowing each child's
+    whole stream on entry would solve 32,769.
 
     A node counts one per index k >= c_d whose colours keep first-use order
     (the first-use rule), compatible or not; the indices between two stream
@@ -269,8 +270,6 @@ def _vertical_decision(
     each step, before any child is entered, so it trips where a count per
     index would; a tripped budget raises TooLargeError.
     """
-    if n == 1:
-        return VerticalColoring(m, n, r, (_decode_column(m, r, 0),)), 0
     pair_count = comb(m, 2)
     packed, need, top = _candidate_table(pair_count, r)
     size = len(packed)
@@ -310,7 +309,9 @@ def _vertical_decision(
         """The shareable stream of a node whose newest column is k."""
         return tee(compatible_from(k, rest), 1)[0]
 
-    def explore(cols: list[int], used: int, stream: Iterator[int]) -> list[int] | None:
+    def explore(
+        cols: list[int], used: int, stream: Iterator[int], limit: float
+    ) -> list[int] | None:
         nonlocal nodes
         if len(cols) == n:
             return cols
@@ -318,34 +319,28 @@ def _vertical_decision(
         for k in stream:
             nodes += admitted(lo, k + 1, used)
             lo = k + 1
-            if nodes > budget:
+            if nodes > limit:
                 break
             if need[k] <= used:
-                result = explore(cols + [k], max(used, top[k]), narrow(k, stream.__copy__()))
+                # the budget holds per column-2 subtree
+                sub_limit = nodes + budget if len(cols) == 1 else limit
+                child = narrow(k, stream.__copy__())
+                result = explore(cols + [k], max(used, top[k]), child, sub_limit)
                 if result is not None:
                     return result
         else:
             nodes += admitted(lo, size, used)
-        if nodes > budget:
+        if nodes > limit:
             raise TooLargeError(f"search exceeded the node budget ({budget}) at r={r}")
         return None
 
     # Column 1 is the constant colouring: entry 0, one colour in use.
-    total_nodes = lo = 0
-    stream = narrow(0, iter(range(1, size)))
-    for k in stream:
-        total_nodes += admitted(lo, k + 1, 1)
-        lo = k + 1
-        if need[k] > 1:
-            continue
-        nodes = 0
-        result = explore([0, k], max(1, top[k]), narrow(k, stream.__copy__()))
-        total_nodes += nodes
-        if result is not None:
-            columns = tuple(_decode_column(m, r, index) for index in result)
-            return VerticalColoring(m, n, r, columns), total_nodes
-    total_nodes += admitted(lo, size, 1)
-    return None, total_nodes
+    nodes = 0
+    result = explore([0], 1, narrow(0, iter(range(1, size))), inf)
+    if result is None:
+        return None, nodes
+    columns = tuple(_decode_column(m, r, index) for index in result)
+    return VerticalColoring(m, n, r, columns), nodes
 
 
 def g_exact_vertical(
