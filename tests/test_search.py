@@ -18,7 +18,7 @@ from gridram import (
     row_index_coloring,
     verify_text,
 )
-from gridram import certio, coloring
+from gridram import certio, coloring, search
 from gridram.search import MAX_NAIVE_EDGES
 
 CELLS = [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)] + [(2, 4), (2, 5)]
@@ -162,6 +162,23 @@ class TestOracles:
         with pytest.raises(TooLargeError, match=rf"node budget \({boundary - 1}\) at r=2"):
             g_exact_vertical(m, n, node_budget=boundary - 1)
         assert g_exact_vertical(m, n, node_budget=boundary).value == value
+
+    @pytest.mark.parametrize(
+        "m, n, nodes, boundary, digest",
+        [
+            (5, 5, 120, 110, "192a9ab45c82ff0747ce7c61031784c9a817c536dd988db4634a5dd47e72b198"),
+            (5, 8, 233, 223, "45077daa1dd6b747e87345cfa4d43bad4c6da1c00a380348c08556c39c51eedd"),
+        ],
+    )
+    def test_first_use_rule_counting_at_three_colours(self, m, n, nodes, boundary, digest):
+        # started at r = 3, the 5-row search moves column 2 past candidates the
+        # first-use rule turns away (colour 3 before colour 2), so the node count
+        # and the budget boundary pin that those indices are skipped, not counted
+        chi, counted = search._vertical_decision(m, n, 3, boundary)
+        assert counted == nodes
+        assert hashlib.sha256(certio.emit(chi).encode()).hexdigest() == digest
+        with pytest.raises(TooLargeError, match=r"node budget \(\d+\) at r=3"):
+            search._vertical_decision(m, n, 3, boundary - 1)
 
     def test_vertical_tall_columns_at_one_colour(self):
         # r = 1 passes the column-space guard at any m, so a column of 1,035
