@@ -32,16 +32,20 @@ by that mask directly.  Only the colouring found is decoded into
 The packed form stays private to this module: a `ColumnColoring` with its
 cached `color_masks` costs about 600 B, the table about 48 B per column (50 MB
 at the MAX_COLUMN_SPACE edge of 2^20 columns).
+
+The vertical oracle's unit of work, its node, is one candidate tested
+against one new column.  Its node budget holds per colour count: each
+`_vertical_decision` call checks it before every test, so the budget bounds
+both the compatibility tests and the colouring solves of that call.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, combinations, tee
-from math import comb, inf
+from math import comb
 from pathlib import Path
 from time import perf_counter
 
@@ -84,11 +88,17 @@ MAX_COLUMN_SPACE = 1 << 20
 MAX_VERTICAL_COLUMNS = 16
 # r = 1 passes the column-space guard at any m, so rows need a bound of their own.
 MAX_VERTICAL_ROWS = 64
-DEFAULT_NODE_BUDGET = 2_000_000
+DEFAULT_NODE_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
 class SearchStats:
+    """Work and wall time of one search.
+
+    `nodes` counts the colours tried on an edge in the naive oracle and the
+    candidates tested in the vertical one, summed over every colour count.
+    """
+
     nodes: int
     seconds: float
 
@@ -263,37 +273,28 @@ def _vertical_decision(
     turns up early: g(6,2) solves 1,025 masks, where narrowing each child's
     whole stream on entry would solve 32,769.
 
-    A node counts one per index k >= c_d whose colours keep first-use order
-    (the first-use rule), compatible or not; the indices between two stream
-    items are counted in one step, subtracting by bisection the ones the rule
-    turns away.  The budget applies per column-2 subtree and is checked after
-    each step, before any child is entered, so it trips where a count per
-    index would; a tripped budget raises TooLargeError.
+    A stream keeps the indices whose colours break first-use order, since a
+    deeper column may use more colours, but no child is entered at one.
+
+    Returns the colouring and the node count: one node per candidate tested,
+    that is per index `compatible_from` reads, whatever its outcome.  The
+    budget is checked before each test, so a call that raises TooLargeError
+    has tested, and solved, at most `budget` candidates.
     """
     pair_count = comb(m, 2)
     packed, need, top = _candidate_table(pair_count, r)
-    size = len(packed)
     lane = (1 << pair_count) - 1
     shifts = [c * pair_count for c in range(1, r)]
     witnesses = witness_table(m, r)
-    # for each colour count in use, the sorted indices the first-use rule
-    # turns away; none from max(need) colours on, so none at r <= 2
-    turned_away = {
-        used: array("I", (k for k in range(size) if need[k] > used))
-        for used in range(1, max(need))
-    }
-
-    def admitted(lo: int, hi: int, used: int) -> int:
-        """How many indices in [lo, hi) the first-use rule admits at `used` colours."""
-        away = turned_away.get(used)
-        if away is None:
-            return hi - lo
-        return hi - lo - bisect_left(away, hi) + bisect_left(away, lo)
 
     def compatible_from(k: int, rest: Iterator[int]) -> Iterator[int]:
         """k, then the indices of `rest`, kept when compatible with column k."""
+        nonlocal nodes
         word = packed[k]
         for j in chain((k,), rest):
+            nodes += 1
+            if nodes > budget:
+                raise TooLargeError(f"search exceeded the node budget ({budget}) at r={r}")
             both = word & packed[j]
             mask = both
             for shift in shifts:
@@ -309,34 +310,20 @@ def _vertical_decision(
         """The shareable stream of a node whose newest column is k."""
         return tee(compatible_from(k, rest), 1)[0]
 
-    def explore(
-        cols: list[int], used: int, stream: Iterator[int], limit: float
-    ) -> list[int] | None:
-        nonlocal nodes
+    def explore(cols: list[int], used: int, stream: Iterator[int]) -> list[int] | None:
         if len(cols) == n:
             return cols
-        lo = cols[-1]
         for k in stream:
-            nodes += admitted(lo, k + 1, used)
-            lo = k + 1
-            if nodes > limit:
-                break
             if need[k] <= used:
-                # the budget holds per column-2 subtree
-                sub_limit = nodes + budget if len(cols) == 1 else limit
                 child = narrow(k, stream.__copy__())
-                result = explore(cols + [k], max(used, top[k]), child, sub_limit)
+                result = explore(cols + [k], max(used, top[k]), child)
                 if result is not None:
                     return result
-        else:
-            nodes += admitted(lo, size, used)
-        if nodes > limit:
-            raise TooLargeError(f"search exceeded the node budget ({budget}) at r={r}")
         return None
 
     # Column 1 is the constant colouring: entry 0, one colour in use.
     nodes = 0
-    result = explore([0], 1, narrow(0, iter(range(1, size))), inf)
+    result = explore([0], 1, narrow(0, iter(range(1, len(packed)))))
     if result is None:
         return None, nodes
     columns = tuple(_decode_column(m, r, index) for index in result)
@@ -353,7 +340,8 @@ def g_exact_vertical(
 
     Agrees with `g_exact_naive` wherever both run; the certificate is the
     extension of the found vertical colouring.  Raises TooLargeError beyond
-    the row, column, per-column candidate-space or node-budget limits.
+    the row, column or per-column candidate-space limits, or when one colour
+    count would test more than `node_budget` candidates.
     """
     if m < 1 or n < 1:
         raise ValueError("grid dimensions must be positive")

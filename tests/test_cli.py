@@ -55,6 +55,15 @@ def test_search_g_both(capsys):
     assert out == "g=2 oracles_agree=true\n"
 
 
+def test_search_g_default_oracle_follows_the_naive_guard(capsys):
+    # 2x2 has 4 edges, so both oracles run; 6x6 has 180, beyond the naive
+    # guard, so the vertical oracle answers alone
+    code, out, _ = run(capsys, "search-g", "--m", "2", "--n", "2")
+    assert (code, out) == (0, "g=2 oracles_agree=true\n")
+    code, out, _ = run(capsys, "search-g", "--m", "6", "--n", "6")
+    assert (code, out) == (0, "g=2 oracle=vertical\n")
+
+
 def test_search_g_single_oracle_tsv(capsys):
     code, out, _ = run(
         capsys, "search-g", "--m", "2", "--n", "3", "--oracle", "naive",

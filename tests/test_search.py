@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import Counter
 from math import comb
 from time import perf_counter
 
@@ -103,18 +104,30 @@ class TestOracles:
         # the node count fixes the candidate order and the symmetry breaking
         result = g_exact_vertical(5, 5)
         assert result.value == 2
-        assert result.stats.nodes == 1392
+        assert result.stats.nodes == 1531
+
+    def test_vertical_small_envelope_pinned(self):
+        # value and certificate of every 3..5 x 3..8 grid at both caps, as one digest
+        digest = hashlib.sha256()
+        for m in range(3, 6):
+            for n in range(3, 9):
+                for r_cap in (None, 2):
+                    result = g_exact_vertical(m, n, r_cap)
+                    digest.update(f"{m} {n} {r_cap} {result.value}\n".encode())
+                    digest.update(certio.emit(result.certificate).encode())
+        pinned = "9f241f6ec547d759a0d25e6c1157adb9ecfc5972850a1e9c2c3c2fe8d5496867"
+        assert digest.hexdigest() == pinned
 
     @pytest.mark.parametrize(
         "m, n, nodes, digest",
         [
-            (4, 9, 94823, "79be6eda4e1b702e1ff30b112c1432f6f56281afc2889aaccf78a3d2da22a668"),
+            (4, 9, 35262, "79be6eda4e1b702e1ff30b112c1432f6f56281afc2889aaccf78a3d2da22a668"),
             (3, 16, 271, "b3cb60b1184dd3b3d1eb189898f5c130d3f95e0b0ed222a810f3e5c1be516b02"),
         ],
     )
     def test_vertical_traversal_pinned_at_three_colours(self, m, n, nodes, digest):
         # at r = 3 the first-use colour rule rejects columns, so the node count
-        # and the certificate pin which candidates are skipped and which counted
+        # and the certificate pin which candidates are tested and which entered
         result = g_exact_vertical(m, n)
         assert result.value == 3
         assert result.stats.nodes == nodes
@@ -123,11 +136,11 @@ class TestOracles:
     @pytest.mark.parametrize(
         "m, n, r_cap, value, nodes, digest, solves",
         [
-            (4, 9, 2, None, 94807, None, 65),
-            (5, 7, 2, 2, 320557, "fafdd890f2e99fef575e769c3f3caf6708f480dde271226035ad62dfe29bb8f2", 1025),
-            (6, 5, None, 2, 108525, "2bff1fe1fb54443ceced96575077c10405dfd5bbc3c66eebbe00f1e08099f4cf", 32769),
+            (4, 9, 2, None, 35218, None, 65),
+            (5, 7, 2, 2, 19874, "fafdd890f2e99fef575e769c3f3caf6708f480dde271226035ad62dfe29bb8f2", 1025),
+            (6, 5, None, 2, 43930, "2bff1fe1fb54443ceced96575077c10405dfd5bbc3c66eebbe00f1e08099f4cf", 32769),
             (6, 2, None, 2, 1025, "cae6b7595081687290f0a74ec278275c33189db22d2ec9cc6a3f5e2c6dbf67b1", 1025),
-            (5, 3, None, 2, 463, "45bc8c865d89a760549c83468bef824c7196d4188162e627b4fa1f47ff495699", 464),
+            (5, 3, None, 2, 558, "45bc8c865d89a760549c83468bef824c7196d4188162e627b4fa1f47ff495699", 464),
         ],
     )
     def test_vertical_traversal_and_solves_pinned(
@@ -155,30 +168,31 @@ class TestOracles:
             assert hashlib.sha256(emitted).hexdigest() == digest
         assert len(calls) == solves
 
-    @pytest.mark.parametrize("m, n, value, boundary", [(6, 6, 2, 77962), (4, 9, 3, 15646)])
+    @pytest.mark.parametrize("m, n, value, boundary", [(6, 6, 2, 43948), (4, 9, 3, 35217)])
     def test_vertical_node_budget_boundary(self, m, n, value, boundary):
-        # the budget holds per column-2 subtree; `boundary` is the largest
-        # subtree's node count, so one node less trips and the budget itself answers
+        # the budget holds per colour count; `boundary` is the most candidates
+        # one colour count tests (both at r = 2), so one less trips and it answers
         with pytest.raises(TooLargeError, match=rf"node budget \({boundary - 1}\) at r=2"):
             g_exact_vertical(m, n, node_budget=boundary - 1)
         assert g_exact_vertical(m, n, node_budget=boundary).value == value
 
     @pytest.mark.parametrize(
-        "m, n, nodes, boundary, digest",
+        "m, n, nodes, digest",
         [
-            (5, 5, 120, 110, "192a9ab45c82ff0747ce7c61031784c9a817c536dd988db4634a5dd47e72b198"),
-            (5, 8, 233, 223, "45077daa1dd6b747e87345cfa4d43bad4c6da1c00a380348c08556c39c51eedd"),
+            (5, 5, 247, "192a9ab45c82ff0747ce7c61031784c9a817c536dd988db4634a5dd47e72b198"),
+            (5, 8, 706, "45077daa1dd6b747e87345cfa4d43bad4c6da1c00a380348c08556c39c51eedd"),
         ],
     )
-    def test_first_use_rule_counting_at_three_colours(self, m, n, nodes, boundary, digest):
+    def test_first_use_rule_counting_at_three_colours(self, m, n, nodes, digest):
         # started at r = 3, the 5-row search moves column 2 past candidates the
-        # first-use rule turns away (colour 3 before colour 2), so the node count
-        # and the budget boundary pin that those indices are skipped, not counted
-        chi, counted = search._vertical_decision(m, n, 3, boundary)
+        # first-use rule turns away (colour 3 before colour 2); they stay in the
+        # streams for deeper columns, so they are tested and counted, not entered.
+        # One call is one colour count, so its node count is its budget boundary.
+        chi, counted = search._vertical_decision(m, n, 3, nodes)
         assert counted == nodes
         assert hashlib.sha256(certio.emit(chi).encode()).hexdigest() == digest
-        with pytest.raises(TooLargeError, match=r"node budget \(\d+\) at r=3"):
-            search._vertical_decision(m, n, 3, boundary - 1)
+        with pytest.raises(TooLargeError, match=rf"node budget \({nodes - 1}\) at r=3"):
+            search._vertical_decision(m, n, 3, nodes - 1)
 
     def test_vertical_tall_columns_at_one_colour(self):
         # r = 1 passes the column-space guard at any m, so a column of 1,035
@@ -200,9 +214,25 @@ class TestOracles:
         g_exact_vertical(4, 4)
         assert list(coloring._witness_cache) == [(4, 2)]
 
-    def test_vertical_node_budget(self):
-        with pytest.raises(TooLargeError, match="node budget"):
+    def test_vertical_node_budget(self, monkeypatch):
+        # the budget bounds the solves: no colour count solves more masks than it allows
+        solves = Counter()
+        solve = coloring.chromatic_at_most
+
+        def counting(graph, r):
+            solves[r] += 1
+            return solve(graph, r)
+
+        monkeypatch.setattr(coloring, "_witness_cache", {})
+        monkeypatch.setattr(coloring, "chromatic_at_most", counting)
+        with pytest.raises(TooLargeError, match=r"node budget \(1000\) at r=2"):
             g_exact_vertical(6, 6, node_budget=1000)
+        assert 0 < solves[2] <= 1000 and max(solves.values()) <= 1000
+
+    def test_vertical_node_budget_counts_tested_candidates(self):
+        # 5x7 at r <= 2 tests 19,874 candidates; table indices it skips are not counted
+        result = g_exact_vertical(5, 7, r_cap=2, node_budget=100_000)
+        assert result.value == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
